@@ -2,8 +2,8 @@
 // resident `graffix serve` Server over socketpairs at 1, 8, and 64
 // simulated clients. Each fleet pipelines a fixed query mix (SSSP/BFS,
 // randomized sources), so larger fleets produce fuller dispatch waves
-// and the batch-occupancy column shows the multi-source coalescing
-// actually engaging. Writes BENCH_serve.json for trajectory tracking;
+// and the batch-occupancy column shows how many queries admission
+// grouped together. Writes BENCH_serve.json for trajectory tracking;
 // the CI serve-smoke cell gates errors == 0.
 #include <algorithm>
 #include <cstdio>

@@ -1,14 +1,150 @@
 #include "serve/batcher.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <utility>
 
+#include "util/arena.hpp"
+#include "util/macros.hpp"
+#include "util/parallel.hpp"
+
 namespace graffix::serve {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Vertex expansions between deadline polls: a poll reads the clock, an
+/// expansion costs tens of nanoseconds.
+constexpr std::uint32_t kExpansionsPerPoll = 256;
+
+/// Most buckets the SSSP ring may hold; past it the bucket width grows
+/// and buckets may re-expand a vertex (still exact, just slower).
+constexpr double kMaxRing = 1024.0;
+
+bool poll_expired(const LaneSpec& lane) { return lane.expired && lane.expired(); }
+
+/// Dijkstra keyed by (distance, hops) on a bucket queue (Dial's
+/// algorithm): bucket b holds the vertices whose tentative distance lies
+/// in [b * width, (b + 1) * width). With width = the lightest edge, no
+/// edge leads back into the bucket being expanded, so buckets settle in
+/// distance order like heap pops, at O(1) per queue operation. Any
+/// improvement — shorter, or as short with fewer hops — re-queues the
+/// vertex, so the result is the exact (distance, hops) fixpoint whatever
+/// the width; a wider bucket only costs re-expansions. Returns the
+/// largest hop count over reached vertices; sets `expired` instead when
+/// the deadline fires.
+std::uint32_t dijkstra_hops(const GraphSnapshot& snap, const LaneSpec& lane,
+                            ArenaBuffer<double>& dist, bool& expired) {
+  const Csr& graph = snap.graph;
+  const auto offsets = graph.offsets();
+  const auto targets = graph.targets();
+  const auto weights = graph.weights();
+  const double width = std::max(static_cast<double>(snap.min_positive_weight),
+                                static_cast<double>(snap.max_weight) / kMaxRing);
+  const double inv_width = 1.0 / width;
+  auto bucket_of = [inv_width](double d) {
+    return static_cast<std::uint64_t>(d * inv_width);
+  };
+  // A relaxation lands at most max_weight / width buckets (plus rounding)
+  // past the one being expanded, so a ring that long never wraps onto a
+  // live bucket.
+  const auto ring_size =
+      static_cast<std::size_t>(static_cast<double>(snap.max_weight) * inv_width) + 3;
+  ArenaVector<ArenaVector<NodeId>> ring(ring_size);
+  ArenaBuffer<std::uint32_t> hops(dist.size());
+  ArenaBuffer<std::uint8_t> expanded(dist.size(), 0);
+  hops[lane.source] = 0;
+  ring[0].push_back(lane.source);
+  std::size_t queued = 1;  // entries in the ring, stale ones included
+  std::uint32_t expansions = 0;
+  for (std::uint64_t b = 0; queued > 0; ++b) {
+    ArenaVector<NodeId>& bucket = ring[b % ring_size];
+    // FIFO by index: expansions may append to this very bucket.
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const NodeId u = bucket[i];
+      --queued;
+      // Stale: expanded since it was queued, or moved to an earlier bucket.
+      if (expanded[u] != 0 || bucket_of(dist[u]) != b) continue;
+      if (expansions++ % kExpansionsPerPoll == 0 && poll_expired(lane)) {
+        expired = true;
+        return 0;
+      }
+      expanded[u] = 1;
+      const double du = dist[u];
+      const std::uint32_t nh = hops[u] + 1;
+      const EdgeId end = offsets[u + 1];
+      for (EdgeId e = offsets[u]; e < end; ++e) {
+        const NodeId v = targets[e];
+        const double nd = du + static_cast<double>(weights[e]);
+        const double old = dist[v];
+        if (nd < old || (nd == old && nh < hops[v])) {
+          dist[v] = nd;
+          hops[v] = nh;
+          const std::uint64_t nb = bucket_of(nd);
+          GRAFFIX_DCHECK(nb >= b && nb - b < ring_size, "bucket %llu from %llu",
+                         static_cast<unsigned long long>(nb),
+                         static_cast<unsigned long long>(b));
+          // A queued, unexpanded entry in the same bucket already
+          // covers the new key.
+          if (expanded[v] != 0 || old == kInf || bucket_of(old) != nb) {
+            ring[nb % ring_size].push_back(v);
+            ++queued;
+          }
+          expanded[v] = 0;
+        }
+      }
+    }
+    bucket.clear();
+  }
+  std::uint32_t rounds = 0;
+  for (std::size_t v = 0; v < dist.size(); ++v) {
+    if (dist[v] != kInf) rounds = std::max(rounds, hops[v]);
+  }
+  return rounds;
+}
+
+/// Level-synchronous frontier: each vertex's value is its BFS level.
+/// Returns the last non-empty level; sets `expired` instead when the
+/// deadline fires.
+std::uint32_t bfs_levels(const Csr& graph, const LaneSpec& lane,
+                         ArenaBuffer<double>& dist, bool& expired) {
+  const auto offsets = graph.offsets();
+  const auto targets = graph.targets();
+  // Every vertex enters the queue at most once, so one slot-sized
+  // buffer holds all levels back to back.
+  ArenaBuffer<NodeId> queue(dist.size());
+  queue[0] = lane.source;
+  std::size_t head = 0;
+  std::size_t tail = 1;
+  std::uint32_t level = 0;
+  while (true) {
+    if (poll_expired(lane)) {
+      expired = true;
+      return 0;
+    }
+    const std::size_t level_end = tail;
+    const double next = static_cast<double>(level + 1);
+    for (; head < level_end; ++head) {
+      const NodeId u = queue[head];
+      const EdgeId end = offsets[u + 1];
+      for (EdgeId e = offsets[u]; e < end; ++e) {
+        const NodeId v = targets[e];
+        if (dist[v] == kInf) {
+          dist[v] = next;
+          queue[tail++] = v;
+        }
+      }
+    }
+    if (tail == level_end) return level;
+    ++level;
+  }
+}
+
+}  // namespace
+
 std::size_t GraphSnapshot::resident_bytes() const {
-  return graph.memory_bytes() + warp_order.size() * sizeof(NodeId) +
-         items.size() * sizeof(sim::WorkItem);
+  return graph.memory_bytes() + warp_order.size() * sizeof(NodeId);
 }
 
 std::shared_ptr<const GraphSnapshot> make_snapshot(
@@ -19,9 +155,12 @@ std::shared_ptr<const GraphSnapshot> make_snapshot(
   snap->version = version;
   snap->graph = std::move(graph);
   snap->warp_order = std::move(warp_order);
-  snap->items = snap->warp_order.empty()
-                    ? sim::items_all_vertices(snap->graph)
-                    : sim::items_per_vertex(snap->graph, snap->warp_order);
+  Weight lo = kInfWeight;
+  for (const Weight w : snap->graph.weights()) {
+    if (w > 0.0F) lo = std::min(lo, w);
+    snap->max_weight = std::max(snap->max_weight, w);
+  }
+  snap->min_positive_weight = lo == kInfWeight ? 1.0F : lo;
   return snap;
 }
 
@@ -68,117 +207,32 @@ std::vector<std::vector<std::size_t>> form_units(
   return units;
 }
 
-MultiSourceOutcome run_multi_source_on(sim::Engine& engine,
-                                       const GraphSnapshot& snap, QueryAlg alg,
-                                       std::span<const LaneSpec> lanes) {
-  MultiSourceOutcome out;
-  const std::size_t lane_count = lanes.size();
-  out.lanes.resize(lane_count);
-  if (lane_count == 0) return out;
-  if (engine.in_sweep()) {
-    out.engine_busy = true;
-    return out;
-  }
-
-  const std::size_t slots = snap.graph.num_slots();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Lane-major planes: dist[slot * K + k]. One cache line serves all
-  // lanes of a vertex, which is what makes the K-wide functor cheap.
-  std::vector<double> dist(slots * lane_count, kInf);
-  for (std::size_t k = 0; k < lane_count; ++k) {
-    dist[static_cast<std::size_t>(lanes[k].source) * lane_count + k] = 0.0;
-  }
-  std::vector<double> next = dist;
-
-  std::vector<std::uint8_t> active(lane_count, 1);
-  std::vector<std::uint8_t> lane_changed(lane_count, 0);
-  std::vector<std::uint32_t> last_round(lane_count, 0);
-
-  sim::SweepOptions opts;
-  opts.weighted = alg == QueryAlg::Sssp && snap.graph.has_weights();
-  sim::KernelStats stats;
-
-  // Bellman-Ford needs at most |V|-1 improving rounds on nonnegative
-  // weights; the cap is a belt against a (bug-induced) livelock.
-  const std::uint32_t round_cap = static_cast<std::uint32_t>(slots) + 2;
-  std::uint32_t round = 0;
-  while (round < round_cap) {
-    for (std::size_t k = 0; k < lane_count; ++k) {
-      if (active[k] != 0 && lanes[k].expired && lanes[k].expired()) {
-        active[k] = 0;
-        out.lanes[k].expired = true;
-      }
-    }
-    bool any_active = false;
-    for (const std::uint8_t a : active) any_active = any_active || a != 0;
-    if (!any_active) break;
-
-    ++round;
-    std::fill(lane_changed.begin(), lane_changed.end(), std::uint8_t{0});
-    auto gate = [&](NodeId u) {
-      const double* row = &dist[static_cast<std::size_t>(u) * lane_count];
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        if (active[k] != 0 && std::isfinite(row[k])) return true;
-      }
-      return false;
-    };
-    auto fn = [&](NodeId u, NodeId v, Weight w) {
-      const double* row = &dist[static_cast<std::size_t>(u) * lane_count];
-      double* nrow = &next[static_cast<std::size_t>(v) * lane_count];
-      const double step = alg == QueryAlg::Bfs ? 1.0 : static_cast<double>(w);
-      bool commit = false;
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        if (active[k] == 0) continue;
-        const double d = row[k];
-        if (!std::isfinite(d)) continue;
-        const double nd = d + step;
-        if (nd < nrow[k]) {
-          nrow[k] = nd;
-          lane_changed[k] = 1;
-          commit = true;
-        }
-      }
-      return commit;
-    };
-    if (!engine.try_sweep_gated(snap.items, opts, gate, fn, stats)) {
-      out.engine_busy = true;
-      return out;
-    }
-    bool any_change = false;
-    for (std::size_t k = 0; k < lane_count; ++k) {
-      if (lane_changed[k] != 0) {
-        last_round[k] = round;
-        any_change = true;
-      }
-    }
-    if (!any_change) break;
-    dist = next;
-  }
-
-  for (std::size_t k = 0; k < lane_count; ++k) {
-    LaneOutcome& lane = out.lanes[k];
-    lane.rounds = last_round[k];
-    std::uint64_t h = fnv1a64(nullptr, 0);
-    NodeId reached = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const double d = dist[s * lane_count + k];
-      h = fnv1a64_append(h, &d, sizeof d);
-      if (std::isfinite(d)) ++reached;
-    }
-    lane.digest = h;
-    lane.reached = reached;
-    lane.values.reserve(lanes[k].echo_nodes.size());
-    for (const NodeId n : lanes[k].echo_nodes) {
-      lane.values.push_back(dist[static_cast<std::size_t>(n) * lane_count + k]);
-    }
-  }
+LaneOutcome run_single_source(const GraphSnapshot& snap, QueryAlg alg,
+                              const LaneSpec& lane) {
+  const Csr& graph = snap.graph;
+  ArenaBuffer<double> dist(graph.num_slots(), kInf);
+  dist[lane.source] = 0.0;
+  LaneOutcome out;
+  out.rounds = alg == QueryAlg::Sssp && graph.has_weights()
+                   ? dijkstra_hops(snap, lane, dist, out.expired)
+                   : bfs_levels(graph, lane, dist, out.expired);
+  if (out.expired) return out;
+  out.digest = fnv1a64(dist.data(), dist.size() * sizeof(double));
+  out.reached = static_cast<NodeId>(
+      std::count_if(dist.begin(), dist.end(), [](double d) { return d != kInf; }));
+  out.values.reserve(lane.echo_nodes.size());
+  for (const NodeId n : lane.echo_nodes) out.values.push_back(dist[n]);
   return out;
 }
 
 MultiSourceOutcome run_multi_source(const GraphSnapshot& snap, QueryAlg alg,
                                     std::span<const LaneSpec> lanes) {
-  sim::Engine engine(snap.graph, sim::SimConfig{});
-  return run_multi_source_on(engine, snap, alg, lanes);
+  MultiSourceOutcome out;
+  out.lanes.resize(lanes.size());
+  parallel_tasks(lanes.size(), [&](std::size_t k) {
+    out.lanes[k] = run_single_source(snap, alg, lanes[k]);
+  });
+  return out;
 }
 
 }  // namespace graffix::serve

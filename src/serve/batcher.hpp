@@ -1,22 +1,34 @@
-// Query batching for `graffix serve`.
+// Query execution for `graffix serve`.
 //
-// The engine's per-lane source residency (PR 2) means K single-source
-// SSSP/BFS queries against the same snapshot can share one sweep
-// schedule: each relaxation round is one gated sweep whose functor
-// relaxes all K lanes' attribute planes, and a vertex is gated in when
-// ANY lane still has a finite value there. The batcher groups compatible
-// queries (same snapshot, same algorithm) into such multi-source units,
-// capped at kMaxBatchLanes.
+// Serving needs only the functional answer, so SSSP/BFS queries run as
+// per-query host kernels directly on the snapshot's CSR — never through
+// the SIMT simulator, whose cost accounting a response would discard:
 //
-// Byte-identity with per-query serial execution (the differential test's
-// contract) holds because each lane's relaxation is an independent
-// monotone min-plus fixpoint: lanes only ever *improve* their own plane
-// under strict `<`, so the extra functor invocations a co-batched lane
-// induces (vertices gated in by OTHER lanes) are no-ops for this lane,
-// and the fixpoint plus the per-lane last-changed round are pure
-// functions of (graph, source). Response payloads carry only per-lane
-// data — never the shared round count or timing — so batched and serial
-// renderings are byte-equal.
+//   - SSSP on a weighted graph: Dijkstra keyed by (distance, hops) on a
+//     bucket queue (Dial's algorithm), the distance a `double`
+//     left-to-right sum of `double(w)`;
+//   - BFS, and SSSP on an unweighted graph: a level-synchronous frontier
+//     (Gunrock's advance/filter, one level per step).
+//
+// Each response carries the query's full-plane digest, its reached
+// count, its echo values and `rounds`: the last round in which
+// topology-driven Jacobi Bellman-Ford would improve any vertex
+// (tests/serve_kernel_test.cpp checks every field against such an
+// oracle). Jacobi round r leaves every vertex at its shortest distance
+// over paths of at most r edges, so a vertex last improves in the round
+// equal to its hop count — the fewest edges on any of its shortest
+// paths — and `rounds` is the largest hop count over reached vertices.
+// Dijkstra on (distance, hops) settles each vertex at its shortest
+// distance with the fewest hops among shortest paths. That argument
+// needs exact path sums; float weights widened to double sum exactly
+// while a path's length stays below 2^53 units of the last bit of its
+// finest weight (2^30 when every weight is at least 1), which every
+// generator in the repo (weights in [1, max]) meets with wide margin.
+//
+// Each query is its own pool task. `form_units` survives as admission
+// grouping only: it groups compatible queries (same snapshot, same
+// algorithm) so the server's units/batches/batched_lanes counters keep
+// their meaning, but a unit's lanes run independently.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +41,10 @@
 
 #include "graph/csr.hpp"
 #include "serve/protocol.hpp"
-#include "sim/engine.hpp"
 
 namespace graffix::serve {
 
-/// Lanes one multi-source unit may carry. 32 keeps the K-wide attribute
-/// planes cache-resident for the scale-16 serving preset.
+/// Lanes one admission group may carry.
 inline constexpr std::uint32_t kMaxBatchLanes = 32;
 
 /// One published copy-on-write graph variant. Immutable after
@@ -44,12 +54,16 @@ struct GraphSnapshot {
   std::string variant;
   std::uint64_t version = 0;
   Csr graph;
-  /// Divergence-transform processing order; empty = slot order.
+  /// Divergence-transform processing order (used by the simulated
+  /// pagerank/bc runners); empty = slot order.
   std::vector<NodeId> warp_order;
-  /// Per-vertex sweep items in processing order, built once at publish.
-  std::vector<sim::WorkItem> items;
+  /// Edge-weight range, which sizes the SSSP kernel's bucket queue:
+  /// the lightest positive weight (1 when there is none) and the
+  /// heaviest weight (0 when unweighted).
+  Weight min_positive_weight = 1.0F;
+  Weight max_weight = 0.0F;
 
-  /// Bytes this snapshot keeps resident (graph + order + items).
+  /// Bytes this snapshot keeps resident (graph + order).
   [[nodiscard]] std::size_t resident_bytes() const;
 };
 
@@ -57,50 +71,51 @@ struct GraphSnapshot {
     std::string variant, std::uint64_t version, Csr graph,
     std::vector<NodeId> warp_order);
 
-/// Groups a wave of parsed requests into execution units, preserving
+/// Groups a wave of parsed requests into admission units, preserving
 /// arrival order of unit leaders. `snapshot_of(i)` must return a stable
 /// grouping key (the snapshot pointer) for wave index i.
 ///
-/// Batchable: op Query with alg sssp/bfs — grouped by (snapshot, alg)
+/// Groupable: op Query with alg sssp/bfs — grouped by (snapshot, alg)
 /// up to `max_lanes` lanes per unit. Everything else is a singleton.
 [[nodiscard]] std::vector<std::vector<std::size_t>> form_units(
     std::span<const Request* const> wave,
     const std::function<const void*(std::size_t)>& snapshot_of,
     std::uint32_t max_lanes);
 
-/// Per-lane result of a multi-source run. `values` aligns with the
-/// lane's echo nodes; unreached vertices render as "inf" (SSSP) or -1
-/// (BFS level).
+/// Per-query result. `values` aligns with the lane's echo nodes;
+/// unreached vertices render as "inf" (SSSP) or -1 (BFS level).
 struct LaneOutcome {
-  bool expired = false;        // deadline fired mid-run; lane frozen
+  bool expired = false;        // deadline fired mid-run; answer withheld
   std::uint64_t digest = 0;    // FNV-1a over the lane's full plane
   NodeId reached = 0;          // vertices with a finite value
-  std::uint32_t rounds = 0;    // last round this lane improved
+  std::uint32_t rounds = 0;    // largest hop count over reached vertices
   std::vector<double> values;  // echo values, lane-local
 };
 
 struct MultiSourceOutcome {
-  bool engine_busy = false;    // try_sweep refused (nested sweep)
+  /// Always false: the host kernels share no engine, so nothing can be
+  /// refused. Kept so existing callers compile unchanged.
+  bool engine_busy = false;
   std::vector<LaneOutcome> lanes;
 };
 
 struct LaneSpec {
   NodeId source = 0;
   std::span<const NodeId> echo_nodes;
-  /// Polled at round boundaries; true freezes the lane and marks it
-  /// expired. Null = no deadline.
+  /// Polled before the run, then every 256 SSSP vertex expansions or
+  /// once per BFS level; true stops the lane and marks it expired.
+  /// Null = no deadline.
   std::function<bool()> expired;
 };
 
-/// Runs a K-lane SSSP/BFS fixpoint on `engine` (which must be built over
-/// `snap.graph`). Sources must be in range and non-hole — validated by
-/// the caller. Returns engine_busy without touching anything when the
-/// engine is mid-sweep.
-[[nodiscard]] MultiSourceOutcome run_multi_source_on(
-    sim::Engine& engine, const GraphSnapshot& snap, QueryAlg alg,
-    std::span<const LaneSpec> lanes);
+/// Runs one SSSP/BFS query on `snap.graph`. The source must be in range
+/// and non-hole — validated by the caller.
+[[nodiscard]] LaneOutcome run_single_source(const GraphSnapshot& snap,
+                                            QueryAlg alg, const LaneSpec& lane);
 
-/// Convenience wrapper: builds a fresh engine over the snapshot.
+/// Runs each lane through run_single_source as its own pool task (serially
+/// when called from inside a parallel region). Lane k of the result
+/// answers lanes[k]; every lane is a pure function of (graph, source).
 [[nodiscard]] MultiSourceOutcome run_multi_source(const GraphSnapshot& snap,
                                                   QueryAlg alg,
                                                   std::span<const LaneSpec> lanes);

@@ -386,115 +386,75 @@ void Server::process_wave(std::vector<Job>& wave) {
   std::vector<const Request*> reqs;
   reqs.reserve(wave.size());
   for (const Job& job : wave) reqs.push_back(&job.req);
-  const std::vector<std::vector<std::size_t>> unit_indices = form_units(
+  // Admission grouping only: units feed the units/batches/batched_lanes
+  // counters, while every query below runs as its own task.
+  const std::vector<std::vector<std::size_t>> units = form_units(
       reqs, [&](std::size_t i) { return static_cast<const void*>(wave[i].snap.get()); },
       config_.max_batch_lanes);
-  std::vector<std::vector<Job*>> units(unit_indices.size());
-  for (std::size_t u = 0; u < unit_indices.size(); ++u) {
-    units[u].reserve(unit_indices[u].size());
-    for (const std::size_t i : unit_indices[u]) units[u].push_back(&wave[i]);
-  }
-  // Units run concurrently on the persistent pool; the engine sweeps
-  // inside each unit see in_parallel() and stay serial, so there is
-  // exactly one layer of parallelism — across units, never within.
-  // A throwing unit answers its own jobs instead of taking down the
-  // daemon (or, worse, leaving their sessions waiting forever).
-  parallel_for_each_dynamic(units, [&](const std::vector<Job*>& unit, std::size_t) {
-    try {
-      run_query_unit(unit);
-    } catch (const std::exception& e) {
-      for (Job* job : unit) {
-        respond_error(job->session, job->req.id, ErrorCode::Internal,
-                      std::string("internal error: ") + e.what());
+  {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.units += units.size();
+    for (const std::vector<std::size_t>& unit : units) {
+      if (unit.size() > 1) {
+        counters_.batches += 1;
+        counters_.batched_lanes += unit.size();
       }
+    }
+  }
+  // One pool task per query; the simulated pagerank/bc runs inside a
+  // task see in_parallel() and stay serial, so there is exactly one
+  // layer of parallelism. A throwing query answers itself instead of
+  // taking down the daemon (or leaving its session waiting forever).
+  parallel_tasks(wave.size(), [&](std::size_t i) {
+    Job& job = wave[i];
+    try {
+      if (job.req.alg == QueryAlg::Sssp || job.req.alg == QueryAlg::Bfs) {
+        run_traversal_query(job);
+      } else {
+        run_scalar_query(job);
+      }
+    } catch (const std::exception& e) {
+      respond_error(job.session, job.req.id, ErrorCode::Internal,
+                    std::string("internal error: ") + e.what());
     }
   });
 }
 
-void Server::run_query_unit(const std::vector<Job*>& unit) {
-  if (unit.empty()) return;
-  const QueryAlg alg = unit.front()->req.alg;
-  if (alg == QueryAlg::Pagerank || alg == QueryAlg::Bc) {
-    run_scalar_query(*unit.front());
+void Server::run_traversal_query(Job& job) {
+  if (job.deadline_ms > 0.0 && job.age.millis() > job.deadline_ms) {
+    respond_error(job.session, job.req.id, ErrorCode::DeadlineExpired,
+                  "deadline expired before execution");
     return;
   }
-
-  // Multi-source SSSP/BFS unit (K >= 1 lanes, one shared sweep
-  // schedule). Requests already past their deadline are answered
-  // without joining the batch.
-  std::vector<Job*> live;
-  // graffix-lint: allow(R6) per-unit staging list bounded by max_batch_lanes; pool workers have no arena of their own
-  live.reserve(unit.size());
-  for (Job* job : unit) {
-    if (job->deadline_ms > 0.0 && job->age.millis() > job->deadline_ms) {
-      respond_error(job->session, job->req.id, ErrorCode::DeadlineExpired,
-                    "deadline expired before execution");
-      continue;
-    }
-    // graffix-lint: allow(R6) append stays within the reserve above
-    live.push_back(job);
+  LaneSpec spec;
+  spec.source = job.req.source;
+  spec.echo_nodes = job.req.nodes;
+  if (job.deadline_ms > 0.0) {
+    spec.expired = [&job] { return job.age.millis() > job.deadline_ms; };
   }
-  if (live.empty()) return;
-
-  std::vector<LaneSpec> lanes;
-  // graffix-lint: allow(R6) per-unit lane specs bounded by max_batch_lanes; sized once per unit
-  lanes.reserve(live.size());
-  for (Job* job : live) {
-    LaneSpec spec;
-    spec.source = job->req.source;
-    spec.echo_nodes = job->req.nodes;
-    if (job->deadline_ms > 0.0) {
-      spec.expired = [job] {
-        return job->age.millis() > job->deadline_ms;
-      };
-    }
-    // graffix-lint: allow(R6) append stays within the reserve above
-    lanes.push_back(std::move(spec));
-  }
-
-  const GraphSnapshot& snap = *live.front()->snap;
-  const MultiSourceOutcome outcome = run_multi_source(snap, alg, lanes);
-  if (outcome.engine_busy) {
-    // Unreachable with a per-unit engine; kept as the typed fallback the
-    // try_sweep contract promises.
-    for (Job* job : live) {
-      respond_error(job->session, job->req.id, ErrorCode::EngineBusy,
-                    "engine is mid-sweep");
-    }
+  const GraphSnapshot& snap = *job.snap;
+  const QueryAlg alg = job.req.alg;
+  const LaneOutcome lane = run_single_source(snap, alg, spec);
+  if (lane.expired) {
+    respond_error(job.session, job.req.id, ErrorCode::DeadlineExpired,
+                  "deadline expired mid-run");
     return;
   }
-  {
-    std::scoped_lock lk(metrics_mutex_);
-    counters_.units += 1;
-    if (live.size() > 1) {
-      counters_.batches += 1;
-      counters_.batched_lanes += live.size();
-    }
-  }
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    Job& job = *live[k];
-    const LaneOutcome& lane = outcome.lanes[k];
-    if (lane.expired) {
-      respond_error(job.session, job.req.id, ErrorCode::DeadlineExpired,
-                    "deadline expired mid-run");
-      continue;
-    }
-    // Pure function of (request, snapshot) — no timing, no shared round
-    // counters — so batched and serial renderings are byte-identical.
-    JsonWriter w;
-    w.field_u64("id", job.req.id);
-    w.field_bool("ok", true);
-    w.field_string("alg", query_alg_name(alg));
-    w.field_string("variant", snap.variant);
-    w.field_u64("version", snap.version);
-    w.field_string("digest", hex64(lane.digest));
-    w.field_u64("reached", lane.reached);
-    w.field_u64("rounds", lane.rounds);
-    w.open_array("values");
-    for (const double v : lane.values) w.raw_item(format_double(v));
-    w.close_array();
-    respond_ok(job, w.finish());
-  }
+  // Pure function of (request, snapshot) — no timing, no shared
+  // counters — so every rendering of a query is byte-identical.
+  JsonWriter w;
+  w.field_u64("id", job.req.id);
+  w.field_bool("ok", true);
+  w.field_string("alg", query_alg_name(alg));
+  w.field_string("variant", snap.variant);
+  w.field_u64("version", snap.version);
+  w.field_string("digest", hex64(lane.digest));
+  w.field_u64("reached", lane.reached);
+  w.field_u64("rounds", lane.rounds);
+  w.open_array("values");
+  for (const double v : lane.values) w.raw_item(format_double(v));
+  w.close_array();
+  respond_ok(job, w.finish());
 }
 
 void Server::run_scalar_query(Job& job) {
@@ -516,10 +476,6 @@ void Server::run_scalar_query(Job& job) {
     return;
   }
   const core::RunOutput out = core::run_algorithm(alg, snap.graph, rc);
-  {
-    std::scoped_lock lk(metrics_mutex_);
-    counters_.units += 1;
-  }
   JsonWriter w;
   w.field_u64("id", job.req.id);
   w.field_bool("ok", true);
@@ -542,21 +498,28 @@ void Server::run_scalar_query(Job& job) {
 void Server::respond_error(const std::shared_ptr<Session>& session,
                            std::uint64_t id, ErrorCode code,
                            std::string_view message) {
-  const bool delivered = session->send_line(render_error(id, code, message));
-  std::scoped_lock lk(metrics_mutex_);
-  counters_.errors += 1;
-  counters_.errors_by_code[error_code_name(code)] += 1;
-  if (!delivered) counters_.responses_dropped += 1;
+  {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.errors += 1;
+    counters_.errors_by_code[error_code_name(code)] += 1;
+  }
+  if (!session->send_line(render_error(id, code, message))) {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.responses_dropped += 1;
+  }
 }
 
 void Server::respond_ok(Job& job, const std::string& line) {
-  const bool delivered = job.session->send_line(line);
-  const double ms = job.age.millis();
-  std::scoped_lock lk(metrics_mutex_);
-  if (delivered) {
+  // Counted before the send: a client that reads this answer and then
+  // asks for `stats` must already see it.
+  {
+    std::scoped_lock lk(metrics_mutex_);
     counters_.queries_ok += 1;
-    latencies_ms_.push_back(ms);
-  } else {
+    latencies_ms_.push_back(job.age.millis());
+  }
+  if (!job.session->send_line(line)) {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.queries_ok -= 1;
     counters_.responses_dropped += 1;
   }
 }

@@ -6,10 +6,11 @@
 //
 //   sessions (reader threads)  ->  bounded job queue  ->  dispatcher
 //                                                          |  waves
-//                                                 batcher (form_units)
+//                                        admission grouping (form_units,
+//                                        counters only)
 //                                                          |
-//                                        parallel_for_each_dynamic over
-//                                        units on the persistent pool
+//                                        one task per query on the
+//                                        persistent pool
 //
 // Control ops (stats, transform, ping, shutdown) execute inline on the
 // reader thread — publishing a new copy-on-write snapshot is therefore
@@ -21,8 +22,8 @@
 //
 // Graceful degradation, never a crash: every fault (malformed frame,
 // oversized payload, unknown variant, bad source, queue overflow,
-// deadline expiry, nested-sweep attempt, draining) maps to a typed
-// error response and the daemon keeps serving.
+// deadline expiry, draining) maps to a typed error response and the
+// daemon keeps serving.
 #pragma once
 
 #include <condition_variable>
@@ -58,9 +59,9 @@ struct ServerMetrics {
   std::uint64_t errors = 0;
   std::uint64_t shed = 0;       // overload rejections (subset of errors)
   std::uint64_t control_ops = 0;
-  std::uint64_t batches = 0;        // multi-lane units executed
-  std::uint64_t batched_lanes = 0;  // lanes across those units
-  std::uint64_t units = 0;          // all units (batched + singleton)
+  std::uint64_t batches = 0;        // multi-query admission units
+  std::uint64_t batched_lanes = 0;  // queries across those units
+  std::uint64_t units = 0;          // all admission units (incl. singletons)
   std::uint64_t responses_dropped = 0;  // peer gone before the answer
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;
@@ -135,8 +136,8 @@ class Server {
 
   void dispatch_loop();
   void process_wave(std::vector<Job>& wave);
-  void run_query_unit(const std::vector<Job*>& unit);
-  void run_scalar_query(Job& job);  // pagerank / bc
+  void run_traversal_query(Job& job);  // sssp / bfs
+  void run_scalar_query(Job& job);     // pagerank / bc
   void handle_transform(const std::shared_ptr<Session>& session,
                         const Request& req);
   void handle_query(const std::shared_ptr<Session>& session, Request&& req);

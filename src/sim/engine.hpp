@@ -525,14 +525,13 @@ class Engine {
 
   /// True while a sweep is executing on this engine — the state behind
   /// the reentrancy guard above. Callers that cannot afford the abort
-  /// (the serve daemon) probe this before dispatching.
+  /// probe this before dispatching.
   [[nodiscard]] bool in_sweep() const { return in_sweep_; }
 
   /// sweep_gated() that refuses instead of aborting when the engine is
   /// already mid-sweep: returns false and leaves `stats` and all caller
-  /// state untouched. A resident daemon must map a malformed request
-  /// that would drive a nested sweep to a typed error response —
-  /// GRAFFIX_CHECK would take every connected client down with it.
+  /// state untouched. A long-lived caller can report the refusal —
+  /// GRAFFIX_CHECK would take the whole process down with it.
   template <typename Gate, typename EdgeFn>
   [[nodiscard]] bool try_sweep_gated(std::span<const WorkItem> items,
                                      const SweepOptions& opts, Gate&& gate,

@@ -1,6 +1,7 @@
-// Batching contract for `graffix serve`: multi-source units produce
-// byte-identical responses to per-query serial execution, at every
-// thread count, under arbitrary client interleavings. Labeled `parallel`
+// Grouping contract for `graffix serve`: queries admitted together and
+// run as concurrent pool tasks produce byte-identical responses to
+// per-query serial execution, at every thread count, under arbitrary
+// client interleavings. Labeled `parallel`
 // so the TSan shard exercises the concurrent paths.
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
-#include "sim/engine.hpp"
 #include "util/parallel.hpp"
 
 namespace graffix::serve {
@@ -217,49 +217,6 @@ TEST(ServeBatch, RandomInterleavingsMatchSerial) {
     }
     server.stop();
   }
-}
-
-// Satellite: the engine's reentrancy guard is queryable. A nested sweep
-// attempt yields a typed refusal (engine_busy), never the GRAFFIX_CHECK
-// abort the raw sweep_gated entry would raise.
-TEST(ServeBatch, NestedSweepIsRefusedNotFatal) {
-  const auto snap = make_snapshot("base", 1, bench_graph(), {});
-  sim::Engine engine(snap->graph, sim::SimConfig{});
-  EXPECT_FALSE(engine.in_sweep());
-
-  bool checked = false;
-  sim::SweepOptions opts;
-  sim::KernelStats stats;
-  engine.sweep_gated(
-      snap->items, opts, [](NodeId) { return true; },
-      [&](NodeId, NodeId, Weight) {
-        if (!checked) {
-          checked = true;
-          EXPECT_TRUE(engine.in_sweep());
-          // try_sweep refuses instead of aborting...
-          EXPECT_FALSE(engine.try_sweep_gated(
-              snap->items, opts, [](NodeId) { return true; },
-              [](NodeId, NodeId, Weight) { return false; }, stats));
-          // ...and the serve executor surfaces that as engine_busy.
-          LaneSpec lane;
-          lane.source = 0;
-          const MultiSourceOutcome out =
-              run_multi_source_on(engine, *snap, QueryAlg::Bfs, {&lane, 1});
-          EXPECT_TRUE(out.engine_busy);
-        }
-        return false;
-      },
-      stats);
-  EXPECT_TRUE(checked);
-  EXPECT_FALSE(engine.in_sweep());
-
-  // Outside a sweep the same calls succeed.
-  LaneSpec lane;
-  lane.source = 0;
-  const MultiSourceOutcome out =
-      run_multi_source_on(engine, *snap, QueryAlg::Bfs, {&lane, 1});
-  EXPECT_FALSE(out.engine_busy);
-  EXPECT_GT(out.lanes.front().reached, 1U);
 }
 
 }  // namespace

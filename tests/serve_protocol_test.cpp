@@ -278,6 +278,27 @@ TEST(ServeProtocol, StatsReportsActivity) {
   server.stop();
 }
 
+// A query's answer is counted before it is sent, so a `stats` issued
+// after reading it must already include it. With the count taken after
+// the send, the reader thread answering `stats` regularly overtakes the
+// worker between its send and its count; thousands of round trips make
+// that window show up on every run.
+TEST(ServeProtocol, StatsCountsEveryAnswerAlreadyReceived) {
+  Server server(small_graph());
+  server.start();
+  auto client = connect_client(server);
+  constexpr int kRoundTrips = 5000;
+  for (int i = 1; i <= kRoundTrips; ++i) {
+    client->send(R"({"id":1,"op":"query","alg":"bfs","source":0})");
+    client->recv_or_die();
+    client->send(R"({"id":2,"op":"stats"})");
+    const std::string line = client->recv_or_die();
+    ASSERT_TRUE(contains(line, R"("queries_ok":)" + std::to_string(i) + ","))
+        << "after answer " << i << ": " << line;
+  }
+  server.stop();
+}
+
 // ---- Transforms + copy-on-write snapshots -------------------------------
 
 TEST(ServeTransform, PublishesNewVariant) {
