@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 namespace graffix::sim {
 
 namespace {
-// Process-wide testing knobs (see the header): driver-level differential
+// Process-wide testing knob (see the header): driver-level differential
 // tests cannot reach the engines run_sssp / run_bc construct privately,
-// and 1-core CI boxes never shard on their own — these force the grouped
-// path and observe that it ran, across every engine at once.
+// and 1-core CI boxes never shard on their own — this forces the
+// sharded path across every engine at once.
 std::atomic<std::size_t> g_sweep_chunks{0};
-std::atomic<std::uint64_t> g_grouped_replays{0};
 }  // namespace
 
 void set_global_sweep_chunks_for_test(std::size_t n) {
@@ -21,41 +21,6 @@ void set_global_sweep_chunks_for_test(std::size_t n) {
 
 std::size_t global_sweep_chunks_for_test() {
   return g_sweep_chunks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t global_grouped_replays_for_test() {
-  return g_grouped_replays.load(std::memory_order_relaxed);
-}
-
-namespace detail {
-void note_grouped_replay() {
-  g_grouped_replays.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
-
-thread_local std::size_t SideChannel::tl_rec_ = 0;
-
-void SideChannel::begin_grouped(std::size_t n_records) {
-  n_records_ = n_records;
-  if (n_sums_ > 0) rec_sum_.assign(n_records * n_sums_, 0.0);
-  rec_tag_.assign(n_records, 0);
-  rec_append_.assign(n_records, kInvalidNode);
-  grouped_ = true;
-}
-
-void SideChannel::merge_grouped() {
-  grouped_ = false;
-  for (std::size_t r = 0; r < n_records_; ++r) {
-    const std::uint8_t tag = rec_tag_[r];
-    if (tag != 0) {
-      for (std::size_t k = 0; k < n_sums_; ++k) {
-        if (((tag >> k) & 1) != 0) sums_[k] += rec_sum_[r * n_sums_ + k];
-      }
-      flags_ |= static_cast<std::uint8_t>(tag >> 4);
-    }
-    const NodeId appended = rec_append_[r];
-    if (appended != kInvalidNode) out_->push_back(appended);
-  }
 }
 
 std::size_t Engine::sweep_chunk_count(std::size_t n_blocks) const {
@@ -88,32 +53,31 @@ void Engine::account_block(std::span<const WorkItem> items,
   const std::uint64_t seg_bytes = config_.transaction_bytes;
   const std::uint32_t banks = config_.shared_banks;
   const std::size_t base = b * ws;
-  const std::uint64_t bits = meta.bits;
-  const std::uint32_t lanes = meta.lanes;
   const NodeId max_len = meta.max_len;
   // Source-side residency is invariant across an item's edges: fetch it
-  // once per gated-in lane instead of once per edge.
-  for (std::uint32_t l = 0; l < lanes; ++l) {
-    if (!((bits >> l) & 1)) continue;
+  // once per live lane instead of once per edge.
+  std::uint64_t live = meta.live;
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    const int l = std::countr_zero(m);
     sc.lane_res[l] =
         have_resident ? opts.resident[items[base + l].src] : kInvalidNode;
+    sc.lane_edge_seg[l] = ~std::uint64_t{0};
   }
-  std::fill_n(sc.lane_edge_seg.begin(), lanes, ~std::uint64_t{0});
   // Every step issues one warp instruction and occupies ws lane slots.
   st.warp_steps += max_len;
   st.lane_slots += static_cast<std::uint64_t>(max_len) * ws;
   for (NodeId j = 0; j < max_len; ++j) {
     sc.epoch += 1;  // invalidates the bank + segment scratch in O(1)
-    std::uint32_t active = 0;
+    const auto active = static_cast<std::uint32_t>(std::popcount(live));
     std::uint32_t edge_segs = 0;
     std::uint32_t attr_segs = 0;
     std::uint32_t shared_hits = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
+    for (std::uint64_t m = live; m != 0; m &= m - 1) {
+      const int l = std::countr_zero(m);
       const WorkItem& item = items[base + l];
-      if (!((bits >> l) & 1) || j >= item.edge_count) continue;
-      ++active;
       const EdgeId e = item.edge_begin + j;
       const NodeId v = targets[e];
+      if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
       if (csr_mode) {
         // A lane streams its adjacency sequentially: consecutive
         // positions share a 32B sector and hit in cache, so a lane
@@ -137,10 +101,11 @@ void Engine::account_block(std::span<const WorkItem> items,
         sc.bank_word[bank] = v;
         sc.bank_epoch[bank] = sc.epoch;
       } else {
-        attr_segs += sc.insert_attr_seg((v * attr_bytes) / seg_bytes);
+        attr_segs += sc.insert_step_key((v * attr_bytes) / seg_bytes);
       }
     }
-    if (ideal_mode && active > 0) edge_segs = 1;
+    // Every step has at least one live lane (max_len is the longest).
+    if (ideal_mode) edge_segs = 1;
     if (opts.weighted) edge_segs *= 2;  // parallel weights stream
     if (opts.edges_resident) {
       st.shared_accesses += active;

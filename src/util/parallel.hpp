@@ -14,8 +14,7 @@
 // instead of a full thread fork/join. The caller always participates as
 // the first worker and tasks are claimed with an atomic counter, so an
 // idle or dead pool can never stall a dispatch. OpenMP remains only in
-// the reduction helpers below (telemetry-only by policy) and in
-// util/prefix_sum.hpp.
+// parallel_reduce_max below and in util/prefix_sum.hpp.
 #pragma once
 
 #include <cstddef>
@@ -209,11 +208,10 @@ bool parallel_for_dynamic_any(Index begin, Index end, Body&& body,
 /// segment vector, then concatenates the segments onto `out` in
 /// ascending task order (within a task, in call order). The output
 /// order is thus a pure function of task boundaries and the bodies —
-/// never of thread scheduling. This is the host-side analogue of the
-/// engine SideChannel's per-record append merge (DESIGN.md §7); BFS
-/// frontier generation uses it. Bodies run concurrently for distinct
-/// tasks and must not touch `out` directly; the single-task / nested /
-/// one-worker case appends straight into `out` in the same order.
+/// never of thread scheduling. BFS frontier generation uses it. Bodies
+/// run concurrently for distinct tasks and must not touch `out`
+/// directly; the single-task / nested / one-worker case appends straight
+/// into `out` in the same order.
 template <typename Index, typename T, typename Body>
 void parallel_append(Index begin, Index end, std::vector<T>& out, Body&& body,
                      std::int64_t grain = 256) {
@@ -245,19 +243,31 @@ void parallel_append(Index begin, Index end, std::vector<T>& out, Body&& body,
   }
 }
 
-/// Sum-reduction over [begin, end): returns sum of body(i). The
-/// reduction order depends on the team, so only timing/telemetry may
-/// use this (DESIGN.md §7) — never totals that feed outputs.
+/// Deterministic sum-reduction over [begin, end): returns the sum of
+/// body(i). The range is cut into fixed 4096-index blocks — a partition
+/// that does not depend on the thread count — each block sums serially
+/// on the pool, and the block partials are folded serially in block
+/// order. The rounded result is therefore identical at every pool width,
+/// so it may feed outputs (host PageRank's dangling mass and convergence
+/// delta do).
 template <typename Index, typename Body>
 double parallel_reduce_sum(Index begin, Index end, Body&& body) {
+  constexpr std::int64_t block = 4096;
   const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
+  if (n <= 0) return 0.0;
+  const auto n_blocks = static_cast<std::size_t>((n + block - 1) / block);
+  std::vector<double> partial(n_blocks, 0.0);
+  parallel_tasks(n_blocks, [&](std::size_t c) {
+    const std::int64_t lo = static_cast<std::int64_t>(c) * block;
+    const std::int64_t hi = lo + block < n ? lo + block : n;
+    double sum = 0.0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      sum += body(static_cast<Index>(begin + i));
+    }
+    partial[c] = sum;
+  });
   double total = 0.0;
-  // graffix-lint: allow(R3) telemetry-only by policy (DESIGN.md §7): this helper may never feed totals into outputs
-#pragma omp parallel for schedule(static) reduction(+ : total) \
-    num_threads(effective_workers())
-  for (std::int64_t i = 0; i < n; ++i) {
-    total += body(static_cast<Index>(begin + i));
-  }
+  for (const double p : partial) total += p;
   return total;
 }
 

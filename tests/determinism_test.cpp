@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "algorithms/bfs.hpp"
+#include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "core/runners.hpp"
 #include "gen/suite.hpp"
@@ -664,6 +665,29 @@ TEST(HostAlgorithmDeterminism, ParallelBfsIdenticalAcrossThreadCounts) {
     const auto got = at_threads(t, [&] { return parallel_bfs(g, 0); });
     ASSERT_EQ(got.size(), ref.size()) << "threads=" << t;
     EXPECT_EQ(got, ref) << "threads=" << t;
+  }
+}
+
+TEST(HostAlgorithmDeterminism, PagerankBitIdenticalAcrossPoolWidths) {
+  // Regression: the dangling mass and the convergence delta used to go
+  // through an OpenMP FP reduction whose association followed the team
+  // size, so every rank drifted between pool widths. Both now fold over
+  // a fixed block partition in block order. On a machine with fewer
+  // processors than a pinned width, the run clamps to what it has
+  // (effective_workers), so the check needs >= 2 processors to bite.
+  for (const std::uint32_t scale : {12u, 14u}) {
+    const Csr g = make_preset(GraphPreset::Rmat26, scale, 7);
+    const PagerankResult ref = at_threads(1, [&] { return pagerank(g); });
+    for (int t : {2, 4}) {
+      const PagerankResult got = at_threads(t, [&] { return pagerank(g); });
+      EXPECT_EQ(got.iterations, ref.iterations)
+          << "scale=" << scale << " threads=" << t;
+      ASSERT_EQ(got.rank.size(), ref.rank.size());
+      EXPECT_EQ(std::memcmp(got.rank.data(), ref.rank.data(),
+                            ref.rank.size() * sizeof(double)),
+                0)
+          << "rank bits differ at scale=" << scale << " threads=" << t;
+    }
   }
 }
 

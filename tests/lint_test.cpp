@@ -192,9 +192,9 @@ TEST(LintR3, ContinuationLinesAreJoined) {
 }
 
 TEST(LintR3, SideChannelMergeCannotUseRawFpReduction) {
-  // The ISSUE-8 temptation, spelled out: merging SideChannel per-record
-  // FP partials with an omp reduction would reassociate the sums and
-  // break the byte-identity contract. sim/engine.cpp is NOT on the R1
+  // The temptation, spelled out: merging per-record FP partials with an
+  // omp reduction would reassociate the sums and break the
+  // byte-identity contract. sim/engine.cpp is NOT on the R1
   // substrate allowlist, so a raw pragma fires R1 and the FP reduction
   // fires R3 — the shortcut is caught twice.
   const auto result = lint::lint_source("src/sim/engine.cpp", R"cpp(
@@ -210,9 +210,9 @@ void merge_grouped_wrong(const double* rec_sum, int n, double* total) {
 }
 
 TEST(LintR3, SideChannelSerialMergeIdiomIsClean) {
-  // The shape the real SideChannel::merge_grouped uses — a serial
-  // ascending-record fold with a tag-byte early-out — carries no
-  // pragmas and needs no suppressions; the engine stays budget-neutral.
+  // The deterministic alternative — a serial ascending-record fold with
+  // a tag-byte early-out — carries no pragmas and needs no
+  // suppressions; the engine stays budget-neutral.
   const auto result = lint::lint_source("src/sim/engine.cpp", R"cpp(
 void merge_grouped(const double* rec_sum, const unsigned char* rec_tag,
                    int n, double* total) {
@@ -404,7 +404,7 @@ TEST(LintR5, LaneTableMemberWriteFiresExactlyOnce) {
   const auto result = lint::lint_source("src/sim/engine.hpp", R"cpp(
 class Engine {
  public:
-  void replay_grouped(int n_replay) {
+  void replay_chunks(int n_replay) {
     parallel_tasks(n_replay, [&](int rc) {
       for (int l = 0; l < lanes_; ++l) {
         lane_dst_[l] = rc;
@@ -429,7 +429,7 @@ TEST(LintR5, SweepScratchLocalRefIsTheSanctionedFix) {
   const auto result = lint::lint_source("src/sim/engine.hpp", R"cpp(
 class Engine {
  public:
-  void replay_grouped(int n_replay) {
+  void replay_chunks(int n_replay) {
     parallel_tasks(n_replay, [&](int rc) {
       SweepScratch& sc = scratch_[rc];
       for (int l = 0; l < lanes_; ++l) {
@@ -560,7 +560,7 @@ void f(int n) {
 }
 
 TEST(LintR5, PropagatesThroughSameTuCallees) {
-  // The replay_grouped functor path: the member write sits in a helper
+  // A helper on a replay's functor path: the member write sits in a helper
   // the parallel lambda calls, not in the lambda itself. The fixpoint
   // marks the helper and the write still fires.
   const auto result = lint::lint_source("src/sim/foo.cpp", R"cpp(
@@ -580,7 +580,7 @@ TEST(LintR5, AllowAnnotationSuppressesWithReason) {
   const auto result = lint::lint_source("src/sim/engine.hpp", R"cpp(
 class Engine {
  public:
-  void replay_grouped(int n_replay) {
+  void replay_chunks(int n_replay) {
     parallel_tasks(n_replay, [&](int rc) {
       // graffix-lint: allow(R5) record ranges are disjoint by construction
       lane_dst_[0] = rc;

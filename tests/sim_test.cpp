@@ -406,23 +406,136 @@ TEST(Engine, NestedTrySweepIsRefusedNotFatal) {
   EXPECT_EQ(edges_seen, 3U);
 }
 
+/// Hand-built 64-lane sweep for the live-lane walk: lanes that end at
+/// different steps, a gated-in zero-degree lane, a long gated-out lane,
+/// lane 63 live with the longest item, and a partial 5-lane tail warp.
+/// Step 0 holds a committing lane whose earlier same-destination lane
+/// did not commit; the shared-space sweep holds the same-bank orders
+/// A,B,A (two conflicts) and A,A,B (one conflict) in one step each.
+struct LaneWalkRun {
+  KernelStats global;
+  KernelStats shared;
+  std::uint64_t call_digest = 1469598103934665603ull;  // FNV-1a of (u, v)
+};
+
+LaneWalkRun lane_walk_run(std::size_t chunks) {
+  constexpr NodeId kNodes = 256;
+  std::vector<std::vector<NodeId>> adj(kNodes);
+  adj[0] = {200, 201, 202};
+  adj[1] = {200};  // commits onto v=200 after lane 0 declined: a conflict
+  // adj[2] stays empty: gated in, zero degree
+  adj[3] = {210, 242, 210, 211, 212};
+  for (NodeId j = 0; j < 20; ++j) adj[4].push_back(100 + j);  // gated out
+  adj[5] = {210, 7};    // shared step 0: A (210), B (242), A (210)
+  adj[6] = {242, 8};
+  adj[7] = {210, 9};
+  adj[8] = {11, 100};   // shared step 1: A (100), A (100), B (132)
+  adj[9] = {12, 100};
+  adj[10] = {13, 132};
+  Pcg32 rng(5);
+  for (NodeId u = 11; u < 63; ++u) {
+    const NodeId deg = rng.next_bounded(4);
+    for (NodeId j = 0; j < deg; ++j) adj[u].push_back(rng.next_bounded(kNodes));
+  }
+  adj[63] = {5, 6, 7, 8, 9, 10, 11};  // the block's longest item
+  adj[64] = {0, 1};                   // partial tail warp: nodes 64..68
+  adj[66] = {64};
+  adj[67] = {65, 66, 67};
+  adj[68] = {1};
+  GraphBuilder b(kNodes);
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (const NodeId v : adj[u]) b.add_edge(u, v);
+  }
+  const Csr g = b.build();
+  SimConfig cfg = test_config();
+  cfg.warp_size = 64;
+  Engine engine(g, cfg);
+  const ScopedSweepChunks forced(engine, chunks);
+  auto items = items_all_vertices(g);
+  items.resize(69);
+  LaneWalkRun run;
+  auto gate = [](NodeId u) { return u != 4 && u != 30 && u != 45; };
+  auto fn = [&](NodeId u, NodeId v, Weight) {
+    run.call_digest = (run.call_digest ^ (std::uint64_t{u} << 32 | v)) *
+                      1099511628211ull;
+    return (u % 2) == 1;
+  };
+  engine.sweep_gated(items, {}, gate, fn, run.global);
+  SweepOptions shared;
+  shared.attr_space = AttrSpace::Shared;
+  engine.sweep_gated(items, shared, gate, fn, run.shared);
+  return run;
+}
+
+TEST(Engine, LiveLaneWalkMatchesPinnedStats) {
+  constexpr std::uint64_t kCallDigest = 4087359737124891161ull;
+  const LaneWalkRun fused = lane_walk_run(0);
+  // Taken from an engine that scanned every lane at every step, so the
+  // live-lane walk must reproduce a full scan exactly.
+  KernelStats global;
+  global.sweeps = 1;
+  global.warp_steps = 10;
+  global.lane_slots = 640;
+  global.active_lanes = 103;
+  global.edge_transactions = 52;
+  global.attr_transactions = 32;
+  global.attr_ideal_transactions = 11;
+  global.atomic_commits = 56;
+  global.atomic_conflicts = 7;
+  KernelStats shared = global;
+  shared.attr_transactions = 0;
+  shared.attr_ideal_transactions = 0;
+  shared.shared_accesses = 103;
+  shared.bank_conflicts = 35;
+  EXPECT_EQ(fused.global, global);
+  EXPECT_EQ(fused.shared, shared);
+  EXPECT_EQ(fused.call_digest, kCallDigest);
+  // The sharded two-phase path must agree at any chunking.
+  for (const std::size_t chunks : {1u, 2u}) {
+    const LaneWalkRun sharded = lane_walk_run(chunks);
+    EXPECT_EQ(sharded.global, global) << "chunks=" << chunks;
+    EXPECT_EQ(sharded.shared, shared) << "chunks=" << chunks;
+    EXPECT_EQ(sharded.call_digest, kCallDigest) << "chunks=" << chunks;
+  }
+}
+
+TEST(Engine, BankConflictsFollowLaneOrder) {
+  // Words 100 (A) and 132 (B) share bank 4. A conflict is charged when a
+  // lane finds the bank holding a different word than its own, so the
+  // count depends on lane order: A,B,A pays twice, A,A,B once.
+  auto conflicts = [](const std::vector<NodeId>& dsts) {
+    const Csr g = single_edge_graph(256, dsts);
+    Engine engine(g, test_config());
+    auto items = items_all_vertices(g);
+    items.resize(dsts.size());
+    SweepOptions opts;
+    opts.attr_space = AttrSpace::Shared;
+    KernelStats stats;
+    engine.sweep(items, opts, [](NodeId, NodeId, Weight) { return false; },
+                 stats);
+    return stats.bank_conflicts;
+  };
+  EXPECT_EQ(conflicts({100, 132, 100}), 2u);
+  EXPECT_EQ(conflicts({100, 100, 132}), 1u);
+}
+
 TEST(SweepScratch, BankResizeInvalidatesSegmentStamps) {
   // Regression: resizing one epoch-stamped table rewinds `epoch` to 0,
   // so the OTHER table's stale stamps must be cleared too — otherwise a
   // stamp left at e.g. 3 reads as valid again the moment the rewound
-  // epoch climbs back to 3, and insert_attr_seg falsely reports "already
+  // epoch climbs back to 3, and insert_step_key falsely reports "already
   // present" (undercounting attribute transactions).
   SweepScratch sc;
   sc.ensure(32, 32);
   sc.epoch = 3;  // a few warp steps into a sweep
-  EXPECT_EQ(sc.insert_attr_seg(42), 1u);
-  EXPECT_EQ(sc.insert_attr_seg(42), 0u);
+  EXPECT_EQ(sc.insert_step_key(42), 1u);
+  EXPECT_EQ(sc.insert_step_key(42), 0u);
 
   sc.ensure(32, 64);  // bank table resizes; segment table keeps its size
   EXPECT_EQ(sc.epoch, 0u);
   // A fresh sweep reaches epoch 3 again: segment 42 must be new again.
   sc.epoch = 3;
-  EXPECT_EQ(sc.insert_attr_seg(42), 1u);
+  EXPECT_EQ(sc.insert_step_key(42), 1u);
 }
 
 TEST(SweepScratch, SegmentResizeInvalidatesBankStamps) {

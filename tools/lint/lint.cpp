@@ -210,13 +210,12 @@ const std::vector<std::string>& substrate_entry_points() {
 
 bool sanctioned_channel_type(const std::string& type) {
   return type.find("SweepScratch") != std::string::npos ||
-         type.find("SideChannel") != std::string::npos ||
          type.find("RowClaims") != std::string::npos ||
          type.find("atomic") != std::string::npos;
 }
 
 bool sanctioned_channel_class(const std::string& cls) {
-  return cls == "SweepScratch" || cls == "SideChannel" || cls == "RowClaims";
+  return cls == "SweepScratch" || cls == "RowClaims";
 }
 
 bool lock_type(const std::string& type) {
@@ -583,7 +582,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
              " member mutated from a parallel region is shared across "
              "concurrent tasks (the PR 6 lane-table bug class). Move it "
              "into per-worker SweepScratch, route it through "
-             "sim::SideChannel / RowClaims / std::atomic, index it by the "
+             "RowClaims / std::atomic, index it by the "
              "task parameter, or certify with allow(R5)");
   };
 
@@ -639,7 +638,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
                "` — a by-reference capture of state declared outside the "
                "parallel lambda; every worker aliases it. Make it a "
                "per-worker slot indexed by the task parameter, a "
-               "SweepScratch/SideChannel/RowClaims channel, or "
+               "SweepScratch/RowClaims channel, or "
                "std::atomic — or certify with allow(R5)");
       return;
     }

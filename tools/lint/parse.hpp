@@ -14,7 +14,7 @@
 //      to the parallel_* / pool_dispatch entry points, plus anything
 //      they reach by calling same-TU functions or lambda variables
 //      (fixpoint propagation — covers Engine helpers like eval_gate on
-//      the replay_grouped functor path).
+//      the Phase A accounting path).
 //
 // Known, accepted limitations (heuristic, per-TU): writes through a
 // local reference bound to shared state are attributed to the local
