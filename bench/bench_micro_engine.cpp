@@ -21,9 +21,13 @@
 // round, so run-to-run determinism at a fixed thread count is verified
 // alongside cross-thread-count determinism.
 //
+// A prefix-scan cell times parallel_exclusive_scan_inplace (the scan
+// behind every CSR build) at 1 and 8 workers on 1<<14, 1<<18 and 1<<20
+// values and checks both widths against the serial scan.
+//
 // Results are written as machine-readable JSON to BENCH_engine.json
-// (override with --json FILE), one entry per scale, so the perf
-// trajectory can be tracked across commits.
+// (override with --json FILE), one entry per scale plus the scan rows,
+// so the perf trajectory can be tracked across commits.
 
 #include <algorithm>
 #include <chrono>
@@ -41,6 +45,8 @@
 #include "sim/engine.hpp"
 #include "util/bitset.hpp"
 #include "util/parallel.hpp"
+#include "util/prefix_sum.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -342,6 +348,65 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   return scale_identical;
 }
 
+/// Times parallel_exclusive_scan_inplace at 1 and 8 workers on 1<<14
+/// values (below kParallelScanMin: serial at every width), 1<<18 (the
+/// smallest parallel size) and 1<<20. Every run must reproduce the
+/// serial scan's output and total. Appends one JSON row per size to
+/// `json` when it is non-null; returns false on any mismatch.
+bool run_prefix_scan(FILE* json) {
+  using graffix::EdgeId;
+  const std::vector<int> thread_counts{1, 8};
+  graffix::metrics::Table table(
+      {"Scan n", "T=1 (s)", "T=8 (s)", "Speedup 8v1", "Identical"});
+  bool all_identical = true;
+  const std::size_t sizes[] = {std::size_t{1} << 14, std::size_t{1} << 18,
+                               std::size_t{1} << 20};
+  for (std::size_t si = 0; si < std::size(sizes); ++si) {
+    const std::size_t n = sizes[si];
+    std::vector<EdgeId> input(n);
+    graffix::Pcg32 rng(n);
+    for (EdgeId& v : input) v = rng.next_bounded(64);
+    std::vector<EdgeId> expected = input;
+    const EdgeId expected_total =
+        graffix::exclusive_scan_inplace(std::span<EdgeId>(expected));
+
+    // Each run scans a fresh copy; the reported wall is the per-width
+    // minimum over the runs, which alternate widths.
+    const int runs = n <= (std::size_t{1} << 14) ? 200 : 40;
+    std::vector<double> wall(thread_counts.size(),
+                             std::numeric_limits<double>::infinity());
+    bool identical = true;
+    std::vector<EdgeId> work(n);
+    for (int run = 0; run < runs; ++run) {
+      for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+        graffix::ScopedNumThreads pin(thread_counts[ti]);
+        std::copy(input.begin(), input.end(), work.begin());
+        const double t0 = now_seconds();
+        const EdgeId total =
+            graffix::parallel_exclusive_scan_inplace(std::span<EdgeId>(work));
+        wall[ti] = std::min(wall[ti], now_seconds() - t0);
+        identical = identical && total == expected_total && work == expected;
+      }
+    }
+    all_identical = all_identical && identical;
+    const double speedup = wall.back() > 0.0 ? wall.front() / wall.back() : 0.0;
+    table.add_row({std::to_string(n), graffix::metrics::Table::num(wall[0], 6),
+                   graffix::metrics::Table::num(wall[1], 6),
+                   graffix::metrics::Table::speedup(speedup),
+                   identical ? "yes" : "NO"});
+    if (json != nullptr) {
+      std::fprintf(json,
+                   "%s{\"n\":%zu,\"wall_s\":{\"1\":%.9g,\"8\":%.9g},"
+                   "\"speedup_8v1\":%.9g,\"identical\":%s}",
+                   si > 0 ? "," : "", n, wall[0], wall[1], speedup,
+                   identical ? "true" : "false");
+    }
+  }
+  std::printf("bench_micro_engine: prefix scan\n");
+  table.print();
+  return all_identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -357,18 +422,20 @@ int main(int argc, char** argv) {
   // into the same path atomically replaces the previous document, and
   // an aborted run cannot leave a truncated one behind.
   const std::string json_tmp = json_path + ".tmp";
+  // Every cell pins its own widths, so drop any --threads pin: unpinned,
+  // num_threads() is the processor count.
+  graffix::set_num_threads(0);
+  const int procs = graffix::num_threads();
   FILE* json = std::fopen(json_tmp.c_str(), "w");
   if (json != nullptr) {
     // "procs" records the machine width this document was measured on:
     // CI's speedup floor only makes sense where 8 workers can actually
     // run, so the gate reads it to decide warn-only vs hard.
-    // schema 3: drops the *_serial ablation cells (one replay path
-    // remains, so they duplicated their twins).
+    // schema 4: adds the prefix_scan rows.
     std::fprintf(json,
-                 "{\"bench\":\"bench_micro_engine\",\"schema\":3,"
+                 "{\"bench\":\"bench_micro_engine\",\"schema\":4,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
-                 static_cast<unsigned long long>(options.seed),
-                 omp_get_num_procs());
+                 static_cast<unsigned long long>(options.seed), procs);
   }
 
   bool all_identical = true;
@@ -377,6 +444,8 @@ int main(int argc, char** argv) {
         run_scale(options, scales[s], json, /*first_scale=*/s == 0) &&
         all_identical;
   }
+  if (json != nullptr) std::fprintf(json, "],\"prefix_scan\":[");
+  all_identical = run_prefix_scan(json) && all_identical;
   graffix::set_num_threads(
       options.threads > 0 ? static_cast<int>(options.threads) : 0);
 

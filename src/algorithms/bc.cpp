@@ -62,7 +62,7 @@ std::vector<double> betweenness_centrality(const Csr& graph,
   // sources in source order into a private per-slot array, and blocks
   // are absorbed into `bc` in ascending block order, so the FP sum
   // grouping — and therefore the output — is bit-identical at every
-  // thread count. (The previous raw `#pragma omp critical` merge summed
+  // thread count. (The previous critical-section merge summed
   // per-thread partials in team completion order, which was not.)
   // Blocks run in bounded-memory waves: a wave holds at most kWave
   // per-slot accumulators regardless of the source count.

@@ -105,7 +105,7 @@ Csr Csr::transpose() const {
   // target) histograms fix every edge's final position before the
   // scatter, so the output is bit-identical to the serial path for any
   // thread count. Work is indexed by block id (not thread id) so the
-  // result does not depend on how OpenMP sizes the team.
+  // result does not depend on how many workers the pool runs.
   const auto T = static_cast<std::size_t>(threads);
   const std::size_t chunk = (static_cast<std::size_t>(slots) + T - 1) / T;
   const auto block_range = [&](std::size_t b) {

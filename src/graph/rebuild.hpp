@@ -1,4 +1,4 @@
-// Shared OpenMP-parallel CSR rebuild path.
+// Shared parallel CSR rebuild path.
 //
 // Every Graffix transform ends the same way: a new Csr whose adjacency is
 // the old adjacency plus some per-node extra arcs (divergence, latency),

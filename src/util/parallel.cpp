@@ -1,5 +1,9 @@
 #include "util/parallel.hpp"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -11,19 +15,34 @@
 namespace graffix {
 
 namespace {
-int g_override_threads = 0;
-/// Hardware default captured before the first override so that
-/// set_num_threads(0) can actually restore it (omp_get_max_threads()
-/// reflects any prior omp_set_num_threads, so it must be read before
-/// the first pin).
-int g_default_threads = 0;
+/// set_num_threads() override; 0 = the processor count. Atomic because
+/// every dispatching thread (serve's dispatcher among them) reads it,
+/// and the pin may be set from another thread.
+std::atomic<int> g_override_threads{0};
+
+/// Processors this process may run on: its affinity mask where the OS
+/// exposes one, else hardware_concurrency(); at least 1.
+int processor_count() {
+  static const int count = [] {
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+      const int n = CPU_COUNT(&set);
+      if (n > 0) return n;
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return count;
+}
 
 /// Set while a thread is executing pool tasks: permanently on pool
 /// worker threads, and on the caller for the duration of its own
-/// dispatch. in_parallel() reads this — omp_in_parallel() cannot see
-/// std::thread workers, and the nested-region guards (engine chunking,
-/// BC fan-out, prefix-sum policy) rely on in_parallel() being true
-/// inside pool task bodies.
+/// dispatch. in_parallel() reads this; the nested-region guards (engine
+/// chunking, BC fan-out, prefix-sum policy) rely on it being true inside
+/// pool task bodies.
 thread_local bool tl_pool_worker = false;
 
 /// Persistent worker team behind the parallel_* wrappers.
@@ -33,8 +52,7 @@ thread_local bool tl_pool_worker = false;
 ///    the caller), parked on a condition variable between jobs, and
 ///    joined by the singleton's destructor at process exit — no
 ///    detached threads, and every synchronization edge goes through
-///    std primitives, so the pool is fully visible to TSan (unlike
-///    libgomp's futex barriers, which need tsan.supp).
+///    std primitives, so the pool is fully visible to TSan.
 ///  - A job is a stack-allocated descriptor published under the mutex;
 ///    `generation_` distinguishes it from the previous job for workers
 ///    that raced their wakeup. Task indices are claimed with an atomic
@@ -185,20 +203,18 @@ class WorkerPool {
 }  // namespace
 
 int num_threads() {
-  if (g_override_threads > 0) return g_override_threads;
-  return omp_get_max_threads();
+  const int n = g_override_threads.load(std::memory_order_relaxed);
+  return n > 0 ? n : processor_count();
 }
 
 void set_num_threads(int n) {
-  if (g_default_threads == 0) g_default_threads = omp_get_max_threads();
-  g_override_threads = n > 0 ? n : 0;
-  omp_set_num_threads(n > 0 ? n : g_default_threads);
+  g_override_threads.store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
-bool in_parallel() { return omp_in_parallel() != 0 || tl_pool_worker; }
+bool in_parallel() { return tl_pool_worker; }
 
 int effective_workers() {
-  const int procs = omp_get_num_procs();
+  const int procs = processor_count();
   const int threads = num_threads();
   return threads < procs ? threads : procs;
 }
@@ -213,8 +229,6 @@ void pool_dispatch(std::size_t n_tasks, int width, PoolTask task, void* ctx) {
   }
   WorkerPool::instance().dispatch(n_tasks, width, task, ctx);
 }
-
-bool pool_worker_active() noexcept { return tl_pool_worker; }
 
 int pool_spawned_for_test() noexcept { return WorkerPool::instance().spawned(); }
 

@@ -13,8 +13,8 @@
 // regions per iteration (the engine runs one per sweep phase) pay a wake
 // instead of a full thread fork/join. The caller always participates as
 // the first worker and tasks are claimed with an atomic counter, so an
-// idle or dead pool can never stall a dispatch. OpenMP remains only in
-// parallel_reduce_max below and in util/prefix_sum.hpp.
+// idle or dead pool can never stall a dispatch. The pool is the only
+// parallel runtime: util/prefix_sum.hpp's scan rides it too.
 #pragma once
 
 #include <cstddef>
@@ -24,23 +24,22 @@
 #include <utility>
 #include <vector>
 
-#include <omp.h>
-
 namespace graffix {
 
-/// Number of worker threads parallel regions will use.
+/// Number of worker threads parallel regions will use: the override set
+/// by set_num_threads(), else the processors this process may run on
+/// (its affinity mask; hardware_concurrency() where that is unknown).
 int num_threads();
 
-/// Override the worker count (0 = hardware default). Used by tests to pin
-/// determinism-sensitive paths.
+/// Override the worker count (0 = back to the processor count). Used by
+/// tests to pin determinism-sensitive paths.
 void set_num_threads(int n);
 
-/// True when called from inside an active parallel region — either an
-/// OpenMP team or a worker-pool task (including the caller participating
-/// in its own dispatch). Nested helpers use this to stay serial instead
-/// of oversubscribing: skipping the region entirely avoids dispatch
-/// overhead on hot paths (the SIMT engine checks this when its sweeps run
-/// under a source-parallel caller).
+/// True when called from inside a worker-pool task (including the caller
+/// participating in its own dispatch). Nested helpers use this to stay
+/// serial instead of oversubscribing: skipping the region entirely avoids
+/// dispatch overhead on hot paths (the SIMT engine checks this when its
+/// sweeps run under a source-parallel caller).
 bool in_parallel();
 
 /// Number of workers that can actually make progress at once:
@@ -53,7 +52,7 @@ bool in_parallel();
 int effective_workers();
 
 /// RAII thread-count pin: sets num_threads(n) for the enclosing scope and
-/// restores the hardware default (0) on exit. The determinism tests sweep
+/// restores the processor-count default (0) on exit. The determinism tests sweep
 /// 1/2/8 workers around code that can ASSERT out mid-scope; a raw
 /// set_num_threads pair leaks the pin past the failing test, poisoning
 /// every later test in the binary.
@@ -78,10 +77,6 @@ using PoolTask = void (*)(void* ctx, std::size_t index);
 /// called from inside a parallel region (the template wrappers below
 /// serialize instead); bodies must not throw from pool workers.
 void pool_dispatch(std::size_t n_tasks, int width, PoolTask task, void* ctx);
-
-/// True on a thread currently executing a pool task (workers, and the
-/// caller while it participates in its own dispatch).
-bool pool_worker_active() noexcept;
 
 /// Worker threads the pool has actually spawned so far (testing only).
 int pool_spawned_for_test() noexcept;
@@ -269,37 +264,6 @@ double parallel_reduce_sum(Index begin, Index end, Body&& body) {
   double total = 0.0;
   for (const double p : partial) total += p;
   return total;
-}
-
-/// Max-reduction over [begin, end).
-template <typename Index, typename Body>
-auto parallel_reduce_max(Index begin, Index end, Body&& body)
-    -> decltype(body(begin)) {
-  using Value = decltype(body(begin));
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  Value best{};
-  bool first = true;
-#pragma omp parallel num_threads(effective_workers())
-  {
-    Value local{};
-    bool local_first = true;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      Value v = body(static_cast<Index>(begin + i));
-      if (local_first || v > local) {
-        local = v;
-        local_first = false;
-      }
-    }
-#pragma omp critical
-    {
-      if (!local_first && (first || local > best)) {
-        best = local;
-        first = false;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace graffix

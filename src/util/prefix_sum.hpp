@@ -2,11 +2,11 @@
 // renumbering / replication transforms.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
-
-#include <omp.h>
 
 #include "util/parallel.hpp"
 
@@ -38,43 +38,53 @@ T exclusive_scan(std::span<const T> in, std::span<T> out) {
   return running;
 }
 
-/// Two-pass parallel exclusive scan for large arrays. Deterministic:
-/// result is independent of thread count.
+/// Smallest input parallel_exclusive_scan_inplace splits: below it the
+/// two pool dispatches cost more than the split saves (break-even near
+/// 1<<18 on a 4-proc Xeon VM; bench_micro_engine's prefix_scan rows).
+inline constexpr std::size_t kParallelScanMin = std::size_t{1} << 18;
+
+/// Two-pass parallel exclusive scan for large arrays, on the worker pool:
+/// each block sums its slice, the block sums are folded serially into
+/// block offsets, then each block rescans its slice from its offset.
+/// Integer addition is associative, so the result is independent of the
+/// block count and hence of the thread count; the static_assert keeps
+/// out floating-point types, whose sums would depend on it. Inside a
+/// pool task (in_parallel()) it runs serially.
 template <typename T>
 T parallel_exclusive_scan_inplace(std::span<T> values) {
+  static_assert(std::is_integral_v<T>,
+                "the block-parallel scan is width-independent only for "
+                "integer sums");
   const std::size_t n = values.size();
-  if (n < (1u << 14)) return exclusive_scan_inplace(values);
+  const int workers = effective_workers();
+  if (n < kParallelScanMin || workers <= 1 || in_parallel()) {
+    return exclusive_scan_inplace(values);
+  }
 
-  // Each member of the team owns exactly one chunk, so the partition
-  // count must equal the real team size — and capping it at
-  // effective_workers() keeps oversubscribed pools from splitting one
-  // core's work into context-switching fragments. The scan result is
-  // independent of the partition count either way.
-  const int threads = effective_workers();
-  std::vector<T> block_sums(static_cast<std::size_t>(threads) + 1, T{});
-  const std::size_t chunk = (n + threads - 1) / threads;
-
-#pragma omp parallel num_threads(threads)
-  {
-    const int t = omp_get_thread_num();
-    const std::size_t lo = std::min(static_cast<std::size_t>(t) * chunk, n);
-    const std::size_t hi = std::min(lo + chunk, n);
-    T local{};
-    for (std::size_t i = lo; i < hi; ++i) local += values[i];
-    block_sums[static_cast<std::size_t>(t) + 1] = local;
-#pragma omp barrier
-#pragma omp single
-    {
-      for (int b = 1; b <= threads; ++b) block_sums[b] += block_sums[b - 1];
-    }
-    T running = block_sums[static_cast<std::size_t>(t)];
-    for (std::size_t i = lo; i < hi; ++i) {
-      T next = running + values[i];
-      values[i] = running;
+  // One block per worker that can actually run: more blocks would only
+  // split one core's work into context-switching fragments.
+  const auto blocks = static_cast<std::size_t>(workers);
+  const std::size_t chunk = (n + blocks - 1) / blocks;
+  auto slice = [&](std::size_t b) {
+    const std::size_t lo = std::min(b * chunk, n);
+    return values.subspan(lo, std::min(lo + chunk, n) - lo);
+  };
+  std::vector<T> offset(blocks + 1, T{});
+  parallel_tasks(blocks, [&](std::size_t b) {
+    T sum{};
+    for (const T v : slice(b)) sum += v;
+    offset[b + 1] = sum;
+  });
+  for (std::size_t b = 1; b <= blocks; ++b) offset[b] += offset[b - 1];
+  parallel_tasks(blocks, [&](std::size_t b) {
+    T running = offset[b];
+    for (T& v : slice(b)) {
+      const T next = running + v;
+      v = running;
       running = next;
     }
-  }
-  return block_sums.back();
+  });
+  return offset[blocks];
 }
 
 }  // namespace graffix

@@ -34,13 +34,11 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-/// Pins the worker pool, runs fn, restores the hardware default.
+/// Runs fn with the worker pool pinned to t threads.
 template <typename Fn>
 auto at_threads(int t, Fn&& fn) {
-  set_num_threads(t);
-  auto result = fn();
-  set_num_threads(0);
-  return result;
+  ScopedNumThreads pin(t);
+  return fn();
 }
 
 void expect_same_csr(const Csr& a, const Csr& b, const char* what) {
@@ -69,11 +67,13 @@ void expect_same_csr(const Csr& a, const Csr& b, const char* what) {
 // --- parallel_exclusive_scan_inplace ---------------------------------
 
 TEST(ScanDeterminism, MatchesSerialAroundParallelThreshold) {
-  // The scan falls back to the serial path below 1<<14 elements; cover
-  // sizes straddling that boundary plus a multi-chunk size.
-  constexpr std::size_t kThreshold = std::size_t{1} << 14;
+  // The scan falls back to the serial path below kParallelScanMin
+  // elements; cover sizes straddling that boundary plus multi-block
+  // sizes that no pool width divides evenly, so the last block is short.
+  constexpr std::size_t kThreshold = kParallelScanMin;
   const std::size_t sizes[] = {1,          5,          kThreshold - 1,
-                               kThreshold, kThreshold + 1, 3 * kThreshold + 7};
+                               kThreshold, kThreshold + 1, 2 * kThreshold + 3,
+                               3 * kThreshold + 7};
   for (std::size_t n : sizes) {
     std::vector<std::uint64_t> input(n);
     std::uint64_t x = 0x9e3779b97f4a7c15ull;
@@ -93,6 +93,24 @@ TEST(ScanDeterminism, MatchesSerialAroundParallelThreshold) {
       });
       EXPECT_EQ(total, expected_total) << "n=" << n << " threads=" << t;
       EXPECT_EQ(got, expected) << "n=" << n << " threads=" << t;
+
+      // Called from inside a pool task, the scan runs serially on that
+      // task's thread and must still equal the serial scan.
+      std::vector<std::vector<std::uint64_t>> nested(4, input);
+      std::vector<std::uint64_t> nested_total(nested.size());
+      at_threads(t, [&] {
+        parallel_tasks(nested.size(), [&](std::size_t i) {
+          nested_total[i] = parallel_exclusive_scan_inplace(
+              std::span<std::uint64_t>(nested[i]));
+        });
+        return 0;
+      });
+      for (std::size_t i = 0; i < nested.size(); ++i) {
+        EXPECT_EQ(nested_total[i], expected_total)
+            << "nested n=" << n << " threads=" << t << " task=" << i;
+        EXPECT_EQ(nested[i], expected)
+            << "nested n=" << n << " threads=" << t << " task=" << i;
+      }
     }
   }
 }
@@ -670,7 +688,7 @@ TEST(HostAlgorithmDeterminism, ParallelBfsIdenticalAcrossThreadCounts) {
 
 TEST(HostAlgorithmDeterminism, PagerankBitIdenticalAcrossPoolWidths) {
   // Regression: the dangling mass and the convergence delta used to go
-  // through an OpenMP FP reduction whose association followed the team
+  // through a parallel FP reduction whose association followed the team
   // size, so every rank drifted between pool widths. Both now fold over
   // a fixed block partition in block order. On a machine with fewer
   // processors than a pinned width, the run clamps to what it has

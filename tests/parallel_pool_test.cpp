@@ -17,7 +17,6 @@ namespace {
 struct DispatchProbe {
   std::vector<std::atomic<std::uint32_t>> hits;
   std::atomic<std::uint32_t> not_in_parallel{0};
-  std::atomic<std::uint32_t> not_pool_active{0};
 
   explicit DispatchProbe(std::size_t n) : hits(n) {}
 };
@@ -28,22 +27,19 @@ void probe_task(void* ctx, std::size_t i) {
   // Every task — on a worker OR on the participating caller — runs
   // inside a parallel region as far as nesting guards are concerned.
   if (!in_parallel()) p->not_in_parallel.fetch_add(1);
-  if (!detail::pool_worker_active()) p->not_pool_active.fetch_add(1);
 }
 
 TEST(WorkerPool, DispatchRunsEveryIndexExactlyOnce) {
   constexpr std::size_t kTasks = 4096;
   DispatchProbe probe(kTasks);
-  ASSERT_FALSE(detail::pool_worker_active());
+  ASSERT_FALSE(in_parallel());
   detail::pool_dispatch(kTasks, /*width=*/4, probe_task, &probe);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(probe.hits[i].load(), 1u) << "index " << i;
   }
   EXPECT_EQ(probe.not_in_parallel.load(), 0u);
-  EXPECT_EQ(probe.not_pool_active.load(), 0u);
   // The dispatch is a barrier: the caller's pool-participation flag must
   // be restored before control returns.
-  EXPECT_FALSE(detail::pool_worker_active());
   EXPECT_FALSE(in_parallel());
   // width 4 = caller + up to 3 pool workers, spawned lazily but spawned
   // for real — this is what puts the pool under the TSan shard.
@@ -75,7 +71,6 @@ TEST(WorkerPool, SerialPathsSkipThePool) {
   detail::pool_dispatch(1, /*width=*/8, probe_task, &probe);
   EXPECT_EQ(probe.hits[0].load(), 1u);
   EXPECT_EQ(probe.not_in_parallel.load(), 1u);
-  EXPECT_EQ(probe.not_pool_active.load(), 1u);
 
   DispatchProbe narrow(16);
   detail::pool_dispatch(16, /*width=*/1, probe_task, &narrow);
@@ -148,7 +143,7 @@ TEST(WorkerPool, TemplateWrappersStayDeterministic) {
   // exactly once regardless of thread setting (on a one-core box these
   // serialize inline; on CI they hit the pool — same contract).
   for (int t : {1, 2, 8}) {
-    set_num_threads(t);
+    ScopedNumThreads pin(t);
     std::vector<std::atomic<std::uint32_t>> hits(1000);
     parallel_for(std::size_t{0}, std::size_t{1000},
                  [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -162,7 +157,6 @@ TEST(WorkerPool, TemplateWrappersStayDeterministic) {
       EXPECT_EQ(dyn[i].load(), 1u) << "t=" << t << " i=" << i;
     }
   }
-  set_num_threads(0);
 }
 
 }  // namespace

@@ -48,13 +48,11 @@ constexpr std::size_t kChunkCounts[] = {2, 8};
 // it the "whole" (maximally sharded) configuration.
 constexpr std::size_t kAggregateChunkCounts[] = {1, 4, 4096};
 
-/// Pins the worker pool, runs fn, restores the hardware default.
+/// Runs fn with the worker pool pinned to t threads.
 template <typename Fn>
 auto at_threads(int t, Fn&& fn) {
-  set_num_threads(t);
-  auto result = fn();
-  set_num_threads(0);
-  return result;
+  ScopedNumThreads pin(t);
+  return fn();
 }
 
 NodeId busiest_node(const Csr& g) {

@@ -26,13 +26,11 @@ constexpr int kThreadCounts[] = {1, 2, 8};
 constexpr std::uint32_t kScale = 10;
 constexpr std::uint64_t kSeed = 7;
 
-/// Pins the worker pool, runs fn, restores the hardware default.
+/// Runs fn with the worker pool pinned to t threads.
 template <typename Fn>
 auto at_threads(int t, Fn&& fn) {
-  set_num_threads(t);
-  auto result = fn();
-  set_num_threads(0);
-  return result;
+  ScopedNumThreads pin(t);
+  return fn();
 }
 
 void expect_same_csr(const Csr& a, const Csr& b, const std::string& what) {

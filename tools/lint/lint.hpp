@@ -6,18 +6,17 @@
 // The checked rules (see DESIGN.md §8 for the authoritative table and
 // suppression etiquette):
 //
-//   R1  No raw `#pragma omp` outside the substrate allowlist
-//       (util/parallel.hpp, util/prefix_sum.hpp). All teams must go
-//       through the effective_workers()-clamped wrappers. Backslash-
-//       continued directives are spliced before matching.
+//   R1  No raw omp pragma anywhere: the worker pool is the only
+//       parallel runtime, and every team goes through its
+//       effective_workers()-clamped wrappers. Backslash-continued
+//       directives are spliced before matching.
 //   R2  No nondeterminism sources in library code (src/): rand()-family
 //       calls, std::random_device, unseeded std::mt19937, wall-clock
 //       reads outside util/timer.hpp, and range-for over
 //       std::unordered_{map,set} (iteration order is
 //       implementation-defined, so it may never feed an output).
-//   R3  No floating-point `omp reduction` (any file, including the
-//       substrate): FP addition is not associative, so a team-order
-//       reduction over float/double is nondeterministic.
+//   (R3, no floating-point omp reduction, is retired: R1 flags every
+//       omp pragma, reductions included.)
 //   R4  `std::sort` in src/transform/ and src/sim/ must be certified:
 //       tie order feeds the CSR layout, so every comparator must be a
 //       total order on element values (or the call migrated to
@@ -65,7 +64,7 @@ namespace graffix::lint {
 struct Diagnostic {
   std::string file;
   int line = 0;
-  std::string rule;     // "R1".."R7", or "SUP" for suppression misuse
+  std::string rule;     // "R1".."R7" (R3 retired), or "SUP" for misuse
   std::string message;
 };
 

@@ -551,11 +551,27 @@ FileModel build_model(const std::vector<ScannedLine>& lines) {
     }
   };
 
+  // A '{' inside a parenthesized list the current statement opened (a
+  // `= {}` default argument, a braced temporary argument) is an
+  // initializer, not a scope: it and its partner are skipped, so the
+  // statement still ends at the real body's '{' and is classified.
+  // Lambda bodies inside argument lists still open scopes.
+  std::vector<std::size_t> open_parens;
+  std::vector<bool> initializer_close(n, false);
   std::size_t stmt = 0;
   for (std::size_t i = 0; i < n; ++i) {
     m.scope_of[i] = stack.back();
     const std::string& t = m.tokens[i].text;
-    if (t == "{") {
+    if (t == "(") {
+      open_parens.push_back(i);
+    } else if (t == ")") {
+      if (!open_parens.empty()) open_parens.pop_back();
+    } else if (t == "{" && !open_parens.empty() &&
+               open_parens.back() >= stmt && lambda_at.count(i) == 0) {
+      if (m.match[i] != npos) initializer_close[m.match[i]] = true;
+    } else if (t == "}" && initializer_close[i]) {
+      // Partner of a skipped initializer '{'.
+    } else if (t == "{") {
       ScopeNode sn;
       sn.parent = stack.back();
       sn.open_tok = i;
