@@ -9,11 +9,14 @@
 // check.
 //
 // The matrix runs at two scales: the base scale (default 11 ⇒ 2048
-// nodes = exactly 64 warp blocks, at the engine's sharding threshold —
-// this measures fork/join overhead) and base+4 (default 15 ⇒ 32768
-// nodes = 1024 warp blocks, where the sharded accounting phase has real
-// work to distribute and scaling is meaningful). A single small scale
-// would measure scheduling overhead and call it scaling.
+// nodes = 64 warp blocks) and base+4 (default 15 ⇒ 32768 nodes = 1024
+// warp blocks). The engine walks each sweep serially, so the raw-sweep
+// cells measure the single walk; the algorithm cells add the drivers'
+// pool parallelism (BC's per-source forks).
+//
+// Every cell also reports ns_per_warp_step: its T=1 wall time over the
+// warp steps its stats charge (uniform auxiliary kernels included) —
+// the per-step cost of the lockstep walk.
 //
 // Each (config, thread count) cell is timed over several interleaved
 // rounds: the reported wall is the per-count minimum (robust to noise
@@ -109,9 +112,7 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   std::vector<Cell> cells;
 
   // Raw lockstep sweeps with a Jacobi min-plus functor (reads the
-  // previous sweep's snapshot, merges min into `next`): exercises the
-  // sharded accounting phase and the serial replay — the cell the CI
-  // speedup floor gates on.
+  // previous sweep's snapshot, merges min into `next`): the walk itself.
   cells.push_back({"engine_sweep", [&] {
     CellRun r;
     graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
@@ -284,8 +285,8 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
 
   std::printf("bench_micro_engine: scale=%u seed=%llu (rmat)\n", scale,
               static_cast<unsigned long long>(options.seed));
-  graffix::metrics::Table table(
-      {"Config", "T=1 (s)", "T=2 (s)", "T=8 (s)", "Speedup 8v1", "Identical"});
+  graffix::metrics::Table table({"Config", "T=1 (s)", "T=2 (s)", "T=8 (s)",
+                                 "Speedup 8v1", "ns/step T=1", "Identical"});
 
   if (json != nullptr) {
     std::fprintf(json, "%s{\"scale\":%u,\"configs\":[", first_scale ? "" : ",",
@@ -327,17 +328,23 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
     }
     scale_identical = scale_identical && identical;
     const double speedup = wall.back() > 0.0 ? wall.front() / wall.back() : 0.0;
+    const double ns_per_step =
+        ref.stats.warp_steps > 0
+            ? wall[0] * 1e9 / static_cast<double>(ref.stats.warp_steps)
+            : 0.0;
     table.add_row({cells[c].name, graffix::metrics::Table::num(wall[0], 4),
                    graffix::metrics::Table::num(wall[1], 4),
                    graffix::metrics::Table::num(wall[2], 4),
                    graffix::metrics::Table::speedup(speedup),
+                   graffix::metrics::Table::num(ns_per_step, 1),
                    identical ? "yes" : "NO"});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s{\"name\":\"%s\",\"wall_s\":{\"1\":%.9g,\"2\":%.9g,"
-                   "\"8\":%.9g},\"speedup_8v1\":%.9g,\"identical\":%s}",
+                   "\"8\":%.9g},\"speedup_8v1\":%.9g,"
+                   "\"ns_per_warp_step\":%.9g,\"identical\":%s}",
                    c > 0 ? "," : "", cells[c].name.c_str(), wall[0], wall[1],
-                   wall[2], speedup, identical ? "true" : "false");
+                   wall[2], speedup, ns_per_step, identical ? "true" : "false");
     }
   }
   if (json != nullptr) {
@@ -414,8 +421,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       options.json_path.empty() ? "BENCH_engine.json" : options.json_path;
 
-  // Two points of the scale axis: at the sharding threshold and well
-  // above it (see the file comment).
+  // Two points of the scale axis (see the file comment).
   const std::vector<std::uint32_t> scales{options.scale, options.scale + 4};
 
   // Stage the document and rename it into place at the end: a rerun
@@ -429,11 +435,10 @@ int main(int argc, char** argv) {
   FILE* json = std::fopen(json_tmp.c_str(), "w");
   if (json != nullptr) {
     // "procs" records the machine width this document was measured on:
-    // CI's speedup floor only makes sense where 8 workers can actually
-    // run, so the gate reads it to decide warn-only vs hard.
-    // schema 4: adds the prefix_scan rows.
+    // a speedup_8v1 only means something where 8 workers can run.
+    // schema 5: adds ns_per_warp_step to every config row.
     std::fprintf(json,
-                 "{\"bench\":\"bench_micro_engine\",\"schema\":4,"
+                 "{\"bench\":\"bench_micro_engine\",\"schema\":5,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
                  static_cast<unsigned long long>(options.seed), procs);
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <type_traits>
 #include <unordered_set>
 
 #include "algorithms/bc.hpp"
@@ -187,14 +188,14 @@ class Driver {
   template <typename Fn>
   void sweep(std::vector<NodeId>& active, Fn&& fn) {
     order_active(active, layout_->pos, layout_->order, order_scratch_);
-    sweep_impl(active, [](NodeId) { return true; }, std::forward<Fn>(fn));
+    sweep_impl(active, sim::Ungated{}, std::forward<Fn>(fn));
   }
 
-  /// Global sweep over every slot in warp order.
+  /// Global sweep over every slot in warp order. Its accounting is the
+  /// same every time, so it is recorded once and reused (see sweep_impl).
   template <typename Fn>
   void sweep_all(Fn&& fn) {
-    sweep_impl(layout_->order, [](NodeId) { return true; },
-               std::forward<Fn>(fn));
+    sweep_impl(layout_->order, sim::Ungated{}, std::forward<Fn>(fn));
   }
 
   /// Topology-driven sweep with a per-vertex gate: every slot is assigned
@@ -257,15 +258,26 @@ class Driver {
   /// clusters) runs against global memory, while each cluster's internal
   /// edges are processed with attributes — and, after the first launch,
   /// the staged subgraph itself — resident in shared memory.
+  ///
+  /// The boundary sweep of an ungated sweep over the invariant
+  /// warp-order list reuses its accounting (Engine::sweep_reusing): only
+  /// commits and conflicts depend on the functor, so later sweeps run
+  /// replay-only. Gated and frontier sweeps always walk in full.
   template <typename Gate, typename Fn>
   void sweep_impl(std::span<const NodeId> slots_in_order, Gate&& gate,
                   Fn&& fn) {
+    constexpr bool kUngated =
+        std::is_same_v<std::remove_cvref_t<Gate>, sim::Ungated>;
     const std::span<const WorkItem> work = work_for(slots_in_order);
     track_primary(work.size());
     // Each lane's gate check is one coalesced state load.
     engine_->charge_uniform_kernel(work.size(), 1.0, stats_);
     stats_.sweeps -= 1;  // the gate load is part of this launch
-    engine_->sweep_gated(work, opts_, gate, fn, stats_);
+    if (kUngated && invariant_order(slots_in_order)) {
+      engine_->sweep_reusing(work, opts_, fn, work_accounting_, stats_);
+    } else {
+      engine_->sweep_gated(work, opts_, gate, fn, stats_);
+    }
     if (has_clusters()) {
       const std::span<const WorkItem> cwork = cluster_work_for(slots_in_order);
       if (!cwork.empty()) {
@@ -569,6 +581,9 @@ class Driver {
   // reused every iteration (see work_for / invariant_order).
   std::vector<WorkItem> cached_work_;
   bool cached_work_built_ = false;
+  // Accounting of the ungated sweeps over cached_work_, recorded by the
+  // first such sweep.
+  sim::SweepAccounting work_accounting_;
   SweepOptions opts_;
   KernelStats stats_;
   std::uint64_t primary_items_ = 0;
@@ -961,9 +976,9 @@ RunOutput run_bc(const Csr& graph, const RunConfig& config) {
 
   // One fork per source even on one thread: a single code path cannot
   // drift between thread counts. Nested callers (the bench matrix) keep
-  // the source loop serial — the inner engine shards then. The fan-out
-  // is sized by the concurrency actually available: oversubscribing a
-  // smaller machine would only slow the sources down.
+  // the source loop serial. The fan-out is sized by the concurrency
+  // actually available: oversubscribing a smaller machine would only
+  // slow the sources down.
   std::vector<SourceResult> results(sources.size());
   if (sources.size() > 1 && effective_workers() > 1 && !in_parallel()) {
     parallel_for_dynamic(

@@ -18,8 +18,10 @@ struct SimConfig {
   /// Bytes served by one global-memory transaction. Kepler-class GPUs
   /// (the paper's K40c) serve non-cached global loads as 32-byte L2
   /// sectors, which is what makes scattered gathers so expensive there.
+  /// Must be a power of two (the engine computes segments by shifts).
   std::uint32_t transaction_bytes = 32;
   /// Bytes per node-attribute element and per edges-array element.
+  /// Both must be powers of two.
   std::uint32_t attr_bytes = 4;
   std::uint32_t edge_bytes = 4;
 
@@ -30,7 +32,8 @@ struct SimConfig {
   /// Latency of one shared-memory access (per warp step).
   double shared_latency = 4.0;
   /// Shared memory bank geometry: Kepler has 32 banks of 4-byte words;
-  /// lanes hitting different words in one bank serialize.
+  /// lanes hitting different words in one bank serialize. Must be a
+  /// power of two (the engine masks node ids into banks).
   std::uint32_t shared_banks = 32;
   /// Extra cycles per serialized bank access beyond the first.
   double bank_conflict_cycles = 2.0;

@@ -1,125 +1,27 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 
 namespace graffix::sim {
 
-namespace {
-// Process-wide testing knob (see the header): driver-level differential
-// tests cannot reach the engines run_sssp / run_bc construct privately,
-// and 1-core CI boxes never shard on their own — this forces the
-// sharded path across every engine at once.
-std::atomic<std::size_t> g_sweep_chunks{0};
-}  // namespace
-
-void set_global_sweep_chunks_for_test(std::size_t n) {
-  g_sweep_chunks.store(n, std::memory_order_relaxed);
-}
-
-std::size_t global_sweep_chunks_for_test() {
-  return g_sweep_chunks.load(std::memory_order_relaxed);
-}
-
-std::size_t Engine::sweep_chunk_count(std::size_t n_blocks) const {
-  if (chunks_override_ > 0) return std::min(chunks_override_, n_blocks);
-  if (const std::size_t g = global_sweep_chunks_for_test(); g > 0) {
-    return std::min(g, n_blocks);
-  }
-  if (n_blocks < kMinBlocksToShard || in_parallel()) return 1;
-  // Oversubscribed pools (more threads pinned than processors) cannot
-  // speed up the accounting phase — shard by what the machine can
-  // actually run. One-worker machines stay on the fused serial path.
-  const auto workers = static_cast<std::size_t>(effective_workers());
-  if (workers <= 1) return 1;
-  return std::max<std::size_t>(
-      1, std::min(workers * kChunksPerWorker, n_blocks / kMinBlocksPerChunk));
-}
-
-void Engine::account_block(std::span<const WorkItem> items,
-                           const SweepOptions& opts, std::size_t b,
-                           const BlockMeta& meta, SweepScratch& sc,
-                           KernelStats& st) const {
-  const std::uint32_t ws = config_.warp_size;
-  const auto targets = graph_->targets();
-  const bool csr_mode = opts.edge_mode == EdgeLoadMode::Csr;
-  const bool ideal_mode = opts.edge_mode == EdgeLoadMode::IdealWarpPacked;
-  const bool shared_attr = opts.attr_space == AttrSpace::Shared;
-  const bool have_resident = !opts.resident.empty();
-  const std::uint64_t edge_bytes = config_.edge_bytes;
-  const std::uint64_t attr_bytes = config_.attr_bytes;
-  const std::uint64_t seg_bytes = config_.transaction_bytes;
-  const std::uint32_t banks = config_.shared_banks;
-  const std::size_t base = b * ws;
-  const NodeId max_len = meta.max_len;
-  // Source-side residency is invariant across an item's edges: fetch it
-  // once per live lane instead of once per edge.
-  std::uint64_t live = meta.live;
-  for (std::uint64_t m = live; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    sc.lane_res[l] =
-        have_resident ? opts.resident[items[base + l].src] : kInvalidNode;
-    sc.lane_edge_seg[l] = ~std::uint64_t{0};
-  }
-  // Every step issues one warp instruction and occupies ws lane slots.
-  st.warp_steps += max_len;
-  st.lane_slots += static_cast<std::uint64_t>(max_len) * ws;
-  for (NodeId j = 0; j < max_len; ++j) {
-    sc.epoch += 1;  // invalidates the bank + segment scratch in O(1)
-    const auto active = static_cast<std::uint32_t>(std::popcount(live));
-    std::uint32_t edge_segs = 0;
-    std::uint32_t attr_segs = 0;
-    std::uint32_t shared_hits = 0;
-    for (std::uint64_t m = live; m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      const WorkItem& item = items[base + l];
-      const EdgeId e = item.edge_begin + j;
-      const NodeId v = targets[e];
-      if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
-      if (csr_mode) {
-        // A lane streams its adjacency sequentially: consecutive
-        // positions share a 32B sector and hit in cache, so a lane
-        // only pays when it crosses into a new sector.
-        const std::uint64_t seg = (e * edge_bytes) / seg_bytes;
-        if (seg != sc.lane_edge_seg[l]) {
-          sc.lane_edge_seg[l] = seg;
-          ++edge_segs;
-        }
-      }
-      const bool resident_pair = sc.lane_res[l] != kInvalidNode &&
-                                 sc.lane_res[l] == opts.resident[v];
-      if (shared_attr || resident_pair) {
-        ++shared_hits;
-        // Bank-conflict bookkeeping: lanes hitting different words in
-        // the same bank serialize; same-word hits broadcast for free.
-        const std::uint32_t bank = v % banks;
-        if (sc.bank_epoch[bank] == sc.epoch && sc.bank_word[bank] != v) {
-          st.bank_conflicts += 1;
-        }
-        sc.bank_word[bank] = v;
-        sc.bank_epoch[bank] = sc.epoch;
-      } else {
-        attr_segs += sc.insert_step_key((v * attr_bytes) / seg_bytes);
-      }
-    }
-    // Every step has at least one live lane (max_len is the longest).
-    if (ideal_mode) edge_segs = 1;
-    if (opts.weighted) edge_segs *= 2;  // parallel weights stream
-    if (opts.edges_resident) {
-      st.shared_accesses += active;
-      edge_segs = 0;
-    }
-    st.active_lanes += active;
-    st.edge_transactions += edge_segs;
-    st.attr_transactions += attr_segs;
-    st.shared_accesses += shared_hits;
-    // Lower bound: `active` gathers of attr_bytes each, fully packed.
-    const std::uint64_t global_attr = active - shared_hits;
-    st.attr_ideal_transactions +=
-        (global_attr * attr_bytes + seg_bytes - 1) / seg_bytes;
-  }
+Engine::Engine(const Csr& graph, SimConfig config)
+    : graph_(&graph), config_(config) {
+  GRAFFIX_CHECK(config_.warp_size > 0 && config_.warp_size <= 64,
+                "warp size %u", config_.warp_size);
+  GRAFFIX_CHECK(std::has_single_bit(config_.transaction_bytes) &&
+                    std::has_single_bit(config_.attr_bytes) &&
+                    std::has_single_bit(config_.edge_bytes) &&
+                    std::has_single_bit(config_.shared_banks),
+                "SimConfig geometry must be powers of two (transaction_bytes "
+                "%u, attr_bytes %u, edge_bytes %u, shared_banks %u)",
+                config_.transaction_bytes, config_.attr_bytes,
+                config_.edge_bytes, config_.shared_banks);
+  seg_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(config_.transaction_bytes));
+  edge_shift_ = static_cast<std::uint32_t>(std::countr_zero(config_.edge_bytes));
+  attr_shift_ = static_cast<std::uint32_t>(std::countr_zero(config_.attr_bytes));
+  bank_mask_ = config_.shared_banks - 1;
 }
 
 void Engine::charge_uniform_kernel(std::uint64_t n_items, double tx_per_item,

@@ -9,55 +9,49 @@
 // functor, which performs the *functional* update and reports whether it
 // committed (atomic traffic).
 //
-// A sweep runs in two phases (DESIGN.md §7):
+// A sweep is one gate prepass and one walk (DESIGN.md §7):
 //
-//   Phase A (accounting) — gate evaluation plus all memory accounting
-//   (divergence, edge/attr transactions, shared hits, bank conflicts).
-//   Lane destinations are topology-only, so warp blocks are independent
-//   here and the phase shards contiguous block ranges across threads;
-//   each chunk accumulates into its own KernelStats, reduced in chunk
-//   (= warp block) order. All counters are integer sums, so the totals
-//   are bit-identical at any thread count. Phase A also records each
-//   block's metadata (live-lane bitmask, longest live item) and a
-//   compacted per-chunk list of live block ids.
+//   Gate prepass — an O(items) pass evaluates every lane's gate and
+//   records each warp block's live lanes (gated in, edge_count > 0) and
+//   longest live item. Every gate fires before any fn() runs.
 //
-//   Phase B (functional) — replays the live blocks serially in
-//   warp/lane order and invokes the caller's functor. Functors may read
-//   state written by earlier commits of the same sweep (Bellman-Ford-
-//   style propagation), so atomic_commits/atomic_conflicts and all
-//   functional state match the fully serial engine exactly.
+//   Walk — each live block, in ascending block order, steps through its
+//   positions once. One loop over the step's live lanes (a bitmask,
+//   visited in ascending countr_zero order: the order bank conflicts and
+//   commit conflicts depend on) charges the lane's edge segment,
+//   attribute segment or shared hit and bank conflict, then calls fn and
+//   charges the commit and any same-destination conflict. A lane's bit
+//   clears after its last edge, so the walk costs O(active lanes), not
+//   O(warp steps x warp size).
 //
-// Both walks cost O(active lanes), not O(warp steps x warp size): each
-// block carries a bitmask of its live lanes (gated in, edge_count > 0),
-// each step visits only the set bits in ascending lane order (the order
-// bank conflicts and commit conflicts depend on), and a lane's bit
-// clears after its last edge.
+// The walk is serial in warp/lane order. Functors may read state written
+// by earlier commits of the same sweep (Bellman-Ford-style propagation),
+// so commits and all functional state are those of a plain serial GPU
+// emulation, at every thread count.
 //
-// When the chunking policy yields a single chunk (small sweeps, nested
-// parallelism, a one-worker machine), the sweep takes a *fused* path
-// instead: a cheap O(items) gate prepass records the same per-block
-// metadata, then one walk over the live blocks runs accounting and the
-// functional replay back-to-back per block while the block's items and
-// edges are cache-hot. The prepass keeps gate-evaluation timing
-// identical to the two-phase path (every gate fires before any fn()),
-// so the fused path produces byte-identical KernelStats and functional
-// state for ANY pure gate — even one that is not sweep-stable — which
-// is what lets one-thread and sharded runs agree bit-for-bit.
+// Geometry (transaction_bytes, attr_bytes, edge_bytes, shared_banks) must
+// be powers of two: segment and bank indices are shifts and masks, and
+// the constructor checks this.
 //
-// Contract for gates: a gate must be *sweep-stable* — its value for any
-// source may not depend on commits made by this sweep's functor, because
-// Phase A evaluates every gate before Phase B runs any fn(). All in-repo
-// gates qualify (SSSP gates on a snapshot, BC's level==depth can never be
-// produced by a same-sweep write of depth+1, SCC flags are not written
-// mid-propagation); the determinism tests pin this. Gates and functors
-// must tolerate concurrent *gate* invocation from worker threads.
+// Accounting reuse: every counter except atomic_commits and
+// atomic_conflicts depends only on (graph, items, options) when the gate
+// is constant-true, so sweep_reusing() walks such a sweep in full once,
+// records those counters in a caller-owned SweepAccounting, and on later
+// sweeps over the SAME item list adds the record and runs the walk in
+// replay-only mode (fn plus commit/conflict charging). The caller
+// guarantees the options match the recorded ones; the engine checks the
+// item list's identity.
 //
-// Identical inputs give identical stats and results at every thread
-// count, including 1. A single Engine instance is not thread-safe; use
-// one engine per thread of control (forked drivers each own one). A
-// sweep that re-enters the same engine (e.g. a functor driving another
-// sweep) dies loudly on the in-sweep guard instead of silently
-// corrupting the shared per-sweep scratch.
+// Contract for gates: a gate may not depend on commits made by this
+// sweep's functor — the prepass evaluates every gate before the walk
+// runs any fn(). All in-repo gates qualify (SSSP gates on a snapshot,
+// BC's level==depth can never be produced by a same-sweep write of
+// depth+1, SCC flags are not written mid-propagation).
+//
+// A single Engine instance is not thread-safe; use one engine per thread
+// of control (forked drivers each own one). A sweep that re-enters the
+// same engine (e.g. a functor driving another sweep) dies loudly on the
+// in-sweep guard instead of silently corrupting the per-sweep scratch.
 //
 // This is the substitution substrate for the paper's K40c — see DESIGN.md.
 #pragma once
@@ -74,17 +68,15 @@
 #include "sim/work.hpp"
 #include "util/arena.hpp"
 #include "util/macros.hpp"
-#include "util/parallel.hpp"
 
 namespace graffix::sim {
 
-/// Testing only, process-wide analogue of Engine's per-instance chunk
-/// knob for drivers that own their engines privately (run_sssp /
-/// run_bc): forces every engine's chunk policy to min(n, blocks) when
-/// n > 0. Atomic — forked BC drivers consult it from pool workers.
-/// Prefer the ScopedGlobalSweepChunks RAII guard below.
-void set_global_sweep_chunks_for_test(std::size_t n);
-[[nodiscard]] std::size_t global_sweep_chunks_for_test();
+/// The constant-true gate: every lane with edges is live. Sweeps with
+/// this gate over an invariant item list are the ones whose accounting
+/// can be reused (see sweep_reusing).
+struct Ungated {
+  constexpr bool operator()(NodeId /*src*/) const { return true; }
+};
 
 /// Per-sweep options.
 struct SweepOptions {
@@ -104,28 +96,60 @@ struct SweepOptions {
   bool charge_launch = true;
 };
 
-/// Per-chunk sweep scratch. Bank words and the per-step key set are
-/// epoch-stamped: bumping `epoch` invalidates every entry in O(1)
-/// instead of refilling shared_banks words each warp step. The key set
-/// is a small open-addressed hash table (capacity >= 4*warp_size, a
-/// power of two, so it can never fill from <= warp_size inserts per
-/// step). Accounting stores the step's distinct attribute segments in
-/// it; the functional replay stores the step's destinations, which is
-/// what makes its commit-conflict check O(1) per lane. Each Phase A
-/// chunk owns one, so concurrent chunks (and nested engines) cannot
-/// alias.
+/// Epoch-stamped open-addressed key set for one warp step. Bumping the
+/// owner's epoch empties it in O(1). Capacity is a power of two >=
+/// 4*warp_size, so it can never fill from <= warp_size inserts a step.
+struct StepKeySet {
+  ArenaVector<std::uint64_t> key;
+  ArenaVector<std::uint64_t> stamp;
+  std::uint32_t mask = 0;
+
+  /// Resizes for `warp_size` lanes; returns true when the table was
+  /// rebuilt (its stamps are then all zero).
+  bool ensure(std::uint32_t warp_size) {
+    std::uint32_t cap = 4;
+    while (cap < 4 * warp_size) cap *= 2;
+    if (key.size() == cap) return false;
+    key.assign(cap, 0);
+    stamp.assign(cap, 0);
+    mask = cap - 1;
+    return true;
+  }
+
+  /// Returns true if `k` is new this epoch, false if already present.
+  /// Stamps start at 0 and the epoch is pre-incremented per step, so
+  /// zero-filled tables are never falsely valid.
+  bool insert(std::uint64_t k, std::uint64_t epoch) {
+    std::uint64_t h = k * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+    std::uint32_t slot = static_cast<std::uint32_t>(h) & mask;
+    while (true) {
+      if (stamp[slot] != epoch) {
+        stamp[slot] = epoch;
+        key[slot] = k;
+        return true;
+      }
+      if (key[slot] == k) return false;
+      slot = (slot + 1) & mask;
+    }
+  }
+};
+
+/// The engine's sweep scratch. Bank words and both key sets are stamped
+/// with one per-step epoch. The attribute-segment set and the
+/// destination set are both live in the same lane loop, so each has its
+/// own table.
 struct SweepScratch {
-  // Arena-pooled (ArenaVector): each sweep chunk tears these down with
-  // its Engine; pooling hands the blocks to the next Engine instead of
-  // round-tripping through the kernel allocator (DESIGN.md §9).
+  // Arena-pooled (ArenaVector): short-lived engines hand the blocks to
+  // the next Engine instead of round-tripping through the kernel
+  // allocator (DESIGN.md §9).
   ArenaVector<std::uint64_t> lane_edge_seg;
   ArenaVector<NodeId> lane_res;  // per-lane source residency cluster
   ArenaVector<NodeId> bank_word;
   ArenaVector<std::uint64_t> bank_epoch;
-  ArenaVector<std::uint64_t> seg_key;
-  ArenaVector<std::uint64_t> seg_epoch;
+  StepKeySet segs;  // the step's distinct attribute segments
+  StepKeySet dsts;  // the step's destinations (commit conflicts)
   std::uint64_t epoch = 0;
-  std::uint32_t seg_mask = 0;
 
   void ensure(std::uint32_t warp_size, std::uint32_t banks) {
     if (lane_edge_seg.size() != warp_size) {
@@ -138,52 +162,37 @@ struct SweepScratch {
       bank_epoch.assign(banks, 0);
       rewound = true;
     }
-    std::uint32_t cap = 4;
-    while (cap < 4 * warp_size) cap *= 2;
-    if (seg_key.size() != cap) {
-      seg_key.assign(cap, 0);
-      seg_epoch.assign(cap, 0);
-      seg_mask = cap - 1;
-      rewound = true;
-    }
+    rewound = segs.ensure(warp_size) || rewound;
+    rewound = dsts.ensure(warp_size) || rewound;
     if (rewound) {
-      // Rewinding the epoch invalidates the stamps of BOTH tables, not
+      // Rewinding the epoch invalidates the stamps of EVERY table, not
       // just the one that was resized: a stale stamp left at e.g. 1
       // would read as valid the moment the rewound epoch reaches 1
       // again (false "already present" segments undercount attr
       // transactions; false bank hits overcount conflicts).
       epoch = 0;
       std::fill(bank_epoch.begin(), bank_epoch.end(), 0);
-      std::fill(seg_epoch.begin(), seg_epoch.end(), 0);
-    }
-  }
-
-  /// Returns 1 if `key` is new this epoch, 0 if already present. Stamps
-  /// start at 0 and `epoch` is pre-incremented per step, so zero-filled
-  /// tables are never falsely valid.
-  std::uint32_t insert_step_key(std::uint64_t key) {
-    std::uint64_t h = key * 0x9e3779b97f4a7c15ull;
-    h ^= h >> 29;
-    std::uint32_t slot = static_cast<std::uint32_t>(h) & seg_mask;
-    while (true) {
-      if (seg_epoch[slot] != epoch) {
-        seg_epoch[slot] = epoch;
-        seg_key[slot] = key;
-        return 1;
-      }
-      if (seg_key[slot] == key) return 0;
-      slot = (slot + 1) & seg_mask;
+      std::fill(segs.stamp.begin(), segs.stamp.end(), 0);
+      std::fill(dsts.stamp.begin(), dsts.stamp.end(), 0);
     }
   }
 };
 
+/// The accounting counters of one ungated sweep, recorded by the first
+/// sweep_reusing() call and added by later ones. Owned by the caller
+/// that owns the invariant item list.
+struct SweepAccounting {
+  KernelStats counters;  // every counter but atomic_commits/_conflicts
+  const WorkItem* items = nullptr;  // the item list it was recorded for
+  std::size_t n_items = 0;
+  bool recorded = false;
+};
+
 class Engine {
  public:
-  Engine(const Csr& graph, SimConfig config)
-      : graph_(&graph), config_(config) {
-    GRAFFIX_CHECK(config_.warp_size > 0 && config_.warp_size <= 64,
-                  "warp size %u", config_.warp_size);
-  }
+  /// Dies unless the warp size is 1..64 and the memory geometry is
+  /// powers of two (see the file comment).
+  Engine(const Csr& graph, SimConfig config);
 
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] const Csr& graph() const { return *graph_; }
@@ -197,8 +206,7 @@ class Engine {
   template <typename EdgeFn>
   void sweep(std::span<const WorkItem> items, const SweepOptions& opts,
              EdgeFn&& fn, KernelStats& stats) {
-    sweep_gated(items, opts, [](NodeId) { return true; },
-                std::forward<EdgeFn>(fn), stats);
+    sweep_gated(items, opts, Ungated{}, std::forward<EdgeFn>(fn), stats);
   }
 
   /// sweep() with per-source gating: lanes whose gate(src) is false idle
@@ -206,128 +214,42 @@ class Engine {
   /// thread divergence — but issue no memory traffic), exactly like a
   /// kernel thread that loads its vertex's state, finds nothing to do,
   /// and falls through. The gate's own coalesced state load is charged
-  /// by the caller as a uniform kernel. Gates must be sweep-stable; see
-  /// the file comment.
+  /// by the caller as a uniform kernel. See the file comment for the
+  /// gate contract.
   template <typename Gate, typename EdgeFn>
   void sweep_gated(std::span<const WorkItem> items, const SweepOptions& opts,
                    Gate&& gate, EdgeFn&& fn, KernelStats& stats) {
     if (opts.charge_launch) stats.sweeps += 1;
-    if (items.empty()) return;
-    // The engine's per-sweep scratch (block_meta_, chunk lists, sweep
-    // scratch) is shared mutable state: a nested sweep on the same
-    // engine — a functor or gate driving another sweep, or two drivers
-    // sharing one engine across threads — would corrupt it silently.
-    // Die loudly instead (GRAFFIX_CHECK is always on; the flag costs
-    // one byte and two writes per sweep).
-    GRAFFIX_CHECK(!in_sweep_,
-                  "Engine::sweep_gated re-entered mid-sweep: an Engine is "
-                  "not reentrant — use one engine per thread of control");
-    in_sweep_ = true;
-    struct SweepGuard {
-      bool* flag;
-      ~SweepGuard() { *flag = false; }
-    } sweep_guard{&in_sweep_};
-    const std::uint32_t ws = config_.warp_size;
-    const std::size_t n_blocks = (items.size() + ws - 1) / ws;
-    const std::size_t n_chunks = sweep_chunk_count(n_blocks);
-    block_meta_.resize(n_blocks);
+    sweep_blocks</*kAccount=*/true>(items, opts, gate, fn, stats);
+  }
 
-    // Evaluates the gate for every lane of block b, records its live
-    // lanes (gated in with at least one edge) and longest live item, and
-    // reports whether the block has any work. The warp runs until its
-    // longest live item is exhausted (thread divergence: shorter,
-    // edgeless and gated-out lanes idle).
-    auto eval_gate = [&](std::size_t b) {
-      const std::size_t base = b * ws;
-      const auto lanes = static_cast<std::uint32_t>(
-          std::min<std::size_t>(ws, items.size() - base));
-      std::uint64_t live = 0;
-      NodeId max_len = 0;
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        const WorkItem& item = items[base + l];
-        if (!gate(item.src) || item.edge_count == 0) continue;
-        live |= std::uint64_t{1} << l;
-        max_len = std::max(max_len, item.edge_count);
-      }
-      block_meta_[b] = {live, max_len};
-      return live != 0;
-    };
-
-    // graffix-lint: allow(R6) vector-of-vectors (inner lists keep their capacity across sweeps); the arena only serves flat trivially-copyable scratch
-    if (chunk_live_.size() < n_chunks) chunk_live_.resize(n_chunks);
-    // graffix-lint: allow(R6) SweepScratch owns nested buffers (non-trivial); grows once to the worker/chunk count, then steady-state
-    if (scratch_.size() < n_chunks) scratch_.resize(n_chunks);
-
-    // ---- Fused serial path ----------------------------------------------
-    // One chunk means no parallelism to exploit, so skip the phase
-    // barrier: after the O(items) gate prepass, each live block runs its
-    // accounting and functional replay back-to-back while its items and
-    // edges are cache-hot — the pre-sharding single-traversal cost. The
-    // prepass is what keeps gate timing identical to the two-phase path
-    // (every gate fires before any fn()); see the file comment.
-    if (n_chunks == 1 && chunks_override_ == 0 &&
-        global_sweep_chunks_for_test() == 0) {
-      auto& live = chunk_live_[0];
-      live.clear();
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        if (eval_gate(b)) live.push_back(b);
-      }
-      SweepScratch& sc = scratch_[0];
-      sc.ensure(ws, config_.shared_banks);
-      for (const std::size_t b : live) {
-        account_block(items, opts, b, block_meta_[b], sc, stats);
-        functional_block(items, b, block_meta_[b], sc, fn, stats);
-      }
+  /// sweep() over an invariant item list with accounting reuse: the
+  /// first call walks in full and records every counter but the atomic
+  /// ones in `acc`; later calls (same `items` span, same options) add
+  /// the record and run the walk replay-only. Stats and functional state
+  /// are identical to calling sweep() every time.
+  template <typename EdgeFn>
+  void sweep_reusing(std::span<const WorkItem> items, const SweepOptions& opts,
+                     EdgeFn&& fn, SweepAccounting& acc, KernelStats& stats) {
+    if (!acc.recorded) {
+      KernelStats walked;
+      sweep(items, opts, fn, walked);
+      stats += walked;
+      walked.atomic_commits = 0;
+      walked.atomic_conflicts = 0;
+      acc = {walked, items.data(), items.size(), true};
       return;
     }
-
-    // ---- Phase A: gate evaluation + memory accounting -------------------
-    chunk_stats_.assign(n_chunks, KernelStats{});
-    const std::size_t blocks_per = n_blocks / n_chunks;
-    const std::size_t blocks_rem = n_blocks % n_chunks;
-    auto chunk_begin = [&](std::size_t c) {
-      return c * blocks_per + std::min(c, blocks_rem);
-    };
-    auto account = [&](std::size_t c) {
-      SweepScratch& sc = scratch_[c];
-      sc.ensure(ws, config_.shared_banks);
-      KernelStats& st = chunk_stats_[c];
-      auto& live = chunk_live_[c];
-      live.clear();
-      const std::size_t block_end = chunk_begin(c + 1);
-      for (std::size_t b = chunk_begin(c); b < block_end; ++b) {
-        if (!eval_gate(b)) continue;
-        live.push_back(b);
-        account_block(items, opts, b, block_meta_[b], sc, st);
-      }
-    };
-    if (n_chunks == 1) {
-      account(0);
-    } else {
-      // Chunks are already coarse (>= kMinBlocksPerChunk blocks each),
-      // so one pool task per chunk just load-balances them.
-      parallel_tasks(n_chunks, account);
-    }
-    // Chunks cover ascending block ranges; reducing in chunk order keeps
-    // the accumulation order identical to the serial engine (the counters
-    // are integer sums, so this is belt-and-braces).
-    for (std::size_t c = 0; c < n_chunks; ++c) stats += chunk_stats_[c];
-
-    // ---- Phase B: functional phase + atomic accounting ------------------
-    // Serial in warp/lane order over the live blocks Phase A compacted
-    // (per-chunk lists concatenate to ascending block order); the
-    // recorded metadata means nothing is re-derived.
-    SweepScratch& sc = scratch_[0];  // ensured by Phase A chunk 0
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      for (const std::size_t b : chunk_live_[c]) {
-        functional_block(items, b, block_meta_[b], sc, fn, stats);
-      }
-    }
+    GRAFFIX_CHECK(acc.items == items.data() && acc.n_items == items.size(),
+                  "Engine::sweep_reusing: accounting recorded for another "
+                  "item list");
+    stats += acc.counters;
+    sweep_blocks</*kAccount=*/false>(items, opts, Ungated{}, fn, stats);
   }
 
   /// True while a sweep is executing on this engine — the state behind
-  /// the reentrancy guard above. Callers that cannot afford the abort
-  /// probe this before dispatching.
+  /// the reentrancy guard. Callers that cannot afford the abort probe
+  /// this before dispatching.
   [[nodiscard]] bool in_sweep() const { return in_sweep_; }
 
   /// sweep_gated() that refuses instead of aborting when the engine is
@@ -349,118 +271,172 @@ class Engine {
   void charge_uniform_kernel(std::uint64_t n_items, double tx_per_item,
                              KernelStats& stats) const;
 
-  /// Testing only: forces the two-phase path with min(n, blocks) chunks
-  /// regardless of thread count or machine shape, so fused-vs-sharded
-  /// equivalence can be pinned on any box. 0 restores the automatic
-  /// policy (shard by actual hardware concurrency). Prefer the
-  /// ScopedSweepChunks RAII guard below — a raw set leaks the override
-  /// when an ASSERT fails before the restore line.
-  void set_sweep_chunks_for_test(std::size_t n) { chunks_override_ = n; }
-
  private:
-  /// Per-block metadata recorded during gate evaluation and reused by
-  /// accounting and the functional replay.
+  /// Per-block metadata recorded by the gate prepass.
   struct BlockMeta {
     std::uint64_t live;  // lane l is live (gated in, edge_count > 0) iff bit l
     NodeId max_len;      // longest live item (warp step count)
   };
 
-  /// Below this many warp blocks the fork/join cost outweighs the
-  /// accounting work and the sweep stays on one chunk (which also takes
-  /// the fused path).
-  static constexpr std::size_t kMinBlocksToShard = 64;
-  /// A chunk must carry at least this many blocks: finer sharding spends
-  /// more on scheduling than the per-block accounting it distributes.
-  static constexpr std::size_t kMinBlocksPerChunk = 16;
-  /// Chunks per worker when blocks allow it — enough slack for dynamic
-  /// load balancing over skewed degree distributions without shredding
-  /// the iteration space.
-  static constexpr std::size_t kChunksPerWorker = 4;
+  /// The gate prepass, then one walk over every live block. kAccount
+  /// false is the replay-only walk of sweep_reusing.
+  template <bool kAccount, typename Gate, typename EdgeFn>
+  void sweep_blocks(std::span<const WorkItem> items, const SweepOptions& opts,
+                    Gate&& gate, EdgeFn& fn, KernelStats& stats) {
+    if (items.empty()) return;
+    // The per-sweep scratch (block_meta_, scratch_) is shared mutable
+    // state: a nested sweep on the same engine — a functor or gate
+    // driving another sweep, or two drivers sharing one engine across
+    // threads — would corrupt it silently. Die loudly instead
+    // (GRAFFIX_CHECK is always on; the flag costs two writes per sweep).
+    GRAFFIX_CHECK(!in_sweep_,
+                  "Engine::sweep_gated re-entered mid-sweep: an Engine is "
+                  "not reentrant — use one engine per thread of control");
+    in_sweep_ = true;
+    struct SweepGuard {
+      bool* flag;
+      ~SweepGuard() { *flag = false; }
+    } sweep_guard{&in_sweep_};
+    const std::uint32_t ws = config_.warp_size;
+    const std::size_t n_blocks = (items.size() + ws - 1) / ws;
+    block_meta_.resize(n_blocks);
+    // The warp runs until its longest live item is exhausted (thread
+    // divergence: shorter, edgeless and gated-out lanes idle).
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const std::size_t base = b * ws;
+      const auto lanes = static_cast<std::uint32_t>(
+          std::min<std::size_t>(ws, items.size() - base));
+      std::uint64_t live = 0;
+      NodeId max_len = 0;
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        const WorkItem& item = items[base + l];
+        if (!gate(item.src) || item.edge_count == 0) continue;
+        live |= std::uint64_t{1} << l;
+        max_len = std::max(max_len, item.edge_count);
+      }
+      block_meta_[b] = {live, max_len};
+    }
+    scratch_.ensure(ws, config_.shared_banks);
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      if (block_meta_[b].live == 0) continue;
+      walk_block<kAccount>(items, opts, b, block_meta_[b], fn, stats);
+    }
+  }
 
-  /// Chunking policy for one sweep: sized by the actual block count and
-  /// by the hardware concurrency actually available (oversubscribed
-  /// pools never help; see util/parallel.hpp effective_workers).
-  [[nodiscard]] std::size_t sweep_chunk_count(std::size_t n_blocks) const;
-
-  /// Memory accounting for one warp block (live lanes already recorded
-  /// in `meta`). Topology-only: never calls the gate or the functor.
-  void account_block(std::span<const WorkItem> items, const SweepOptions& opts,
-                     std::size_t b, const BlockMeta& meta, SweepScratch& sc,
-                     KernelStats& st) const;
-
-  /// Functional replay of one warp block in lane order: invokes fn and
-  /// charges atomic commits/conflicts. A committing lane conflicts (its
-  /// atomic serializes) iff an earlier active lane of the same step
-  /// targets the same destination, whether or not that lane committed.
-  /// The step's destination set lives in the caller-provided scratch so
-  /// nested engines cannot alias.
-  template <typename EdgeFn>
-  void functional_block(std::span<const WorkItem> items, std::size_t b,
-                        const BlockMeta& meta, SweepScratch& sc, EdgeFn&& fn,
-                        KernelStats& stats) {
+  /// One live warp block, one pass: per step, each live lane is charged
+  /// (kAccount) and then replayed through fn. A committing lane
+  /// conflicts (its atomic serializes) iff an earlier active lane of the
+  /// same step targets the same destination, whether or not that lane
+  /// committed.
+  template <bool kAccount, typename EdgeFn>
+  void walk_block(std::span<const WorkItem> items, const SweepOptions& opts,
+                  std::size_t b, const BlockMeta& meta, EdgeFn& fn,
+                  KernelStats& st) {
+    SweepScratch& sc = scratch_;
+    const std::uint32_t ws = config_.warp_size;
     const auto targets = graph_->targets();
     const auto weights = graph_->weights();
     const bool has_weights = !weights.empty();
-    const std::size_t base = b * config_.warp_size;
+    const bool csr_mode = opts.edge_mode == EdgeLoadMode::Csr;
+    const bool shared_attr = opts.attr_space == AttrSpace::Shared;
+    const bool have_resident = !opts.resident.empty();
+    const std::size_t base = b * ws;
     std::uint64_t live = meta.live;
+    if constexpr (kAccount) {
+      // Source-side residency is invariant across an item's edges: fetch
+      // it once per live lane instead of once per edge.
+      for (std::uint64_t m = live; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        sc.lane_res[l] =
+            have_resident ? opts.resident[items[base + l].src] : kInvalidNode;
+        sc.lane_edge_seg[l] = ~std::uint64_t{0};
+      }
+      // Every step issues one warp instruction and occupies ws lane slots.
+      st.warp_steps += meta.max_len;
+      st.lane_slots += static_cast<std::uint64_t>(meta.max_len) * ws;
+    }
     for (NodeId j = 0; j < meta.max_len; ++j) {
-      sc.epoch += 1;  // empties the destination set in O(1)
+      sc.epoch += 1;  // empties the bank words and both key sets in O(1)
+      [[maybe_unused]] const auto active =
+          static_cast<std::uint32_t>(std::popcount(live));
+      [[maybe_unused]] std::uint32_t edge_segs = 0;
+      [[maybe_unused]] std::uint32_t attr_segs = 0;
+      [[maybe_unused]] std::uint32_t shared_hits = 0;
       std::uint32_t commits = 0;
       for (std::uint64_t m = live; m != 0; m &= m - 1) {
         const int l = std::countr_zero(m);
         const WorkItem& item = items[base + l];
         const EdgeId e = item.edge_begin + j;
         const NodeId v = targets[e];
-        const bool first_at_v = sc.insert_step_key(v) != 0;
+        if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
+        if constexpr (kAccount) {
+          if (csr_mode) {
+            // A lane streams its adjacency sequentially: consecutive
+            // positions share a segment and hit in cache, so a lane only
+            // pays when it crosses into a new segment.
+            const std::uint64_t seg = (e << edge_shift_) >> seg_shift_;
+            if (seg != sc.lane_edge_seg[l]) {
+              sc.lane_edge_seg[l] = seg;
+              ++edge_segs;
+            }
+          }
+          const bool resident_pair = sc.lane_res[l] != kInvalidNode &&
+                                     sc.lane_res[l] == opts.resident[v];
+          if (shared_attr || resident_pair) {
+            ++shared_hits;
+            // Bank-conflict bookkeeping: lanes hitting different words in
+            // the same bank serialize; same-word hits broadcast for free.
+            const std::uint32_t bank = v & bank_mask_;
+            if (sc.bank_epoch[bank] == sc.epoch && sc.bank_word[bank] != v) {
+              st.bank_conflicts += 1;
+            }
+            sc.bank_word[bank] = v;
+            sc.bank_epoch[bank] = sc.epoch;
+          } else {
+            const std::uint64_t seg =
+                (std::uint64_t{v} << attr_shift_) >> seg_shift_;
+            attr_segs += sc.segs.insert(seg, sc.epoch) ? 1 : 0;
+          }
+        }
+        const bool first_at_v = sc.dsts.insert(v, sc.epoch);
         const Weight w = has_weights ? weights[e] : Weight{1};
         if (fn(item.src, v, w)) {
           ++commits;
-          if (!first_at_v) stats.atomic_conflicts += 1;
+          if (!first_at_v) st.atomic_conflicts += 1;
         }
-        if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
       }
-      stats.atomic_commits += commits;
+      st.atomic_commits += commits;
+      if constexpr (kAccount) {
+        // Every step has at least one live lane (max_len is the longest).
+        if (opts.edge_mode == EdgeLoadMode::IdealWarpPacked) edge_segs = 1;
+        if (opts.weighted) edge_segs *= 2;  // parallel weights stream
+        if (opts.edges_resident) {
+          st.shared_accesses += active;
+          edge_segs = 0;
+        }
+        st.active_lanes += active;
+        st.edge_transactions += edge_segs;
+        st.attr_transactions += attr_segs;
+        st.shared_accesses += shared_hits;
+        // Lower bound: `active` gathers of attr_bytes each, fully packed.
+        const std::uint64_t global_attr = active - shared_hits;
+        st.attr_ideal_transactions +=
+            ((global_attr << attr_shift_) + config_.transaction_bytes - 1) >>
+            seg_shift_;
+      }
     }
   }
 
   const Csr* graph_;
   SimConfig config_;
+  // log2 of the power-of-two geometry (checked by the constructor).
+  std::uint32_t seg_shift_ = 0;
+  std::uint32_t edge_shift_ = 0;
+  std::uint32_t attr_shift_ = 0;
+  std::uint32_t bank_mask_ = 0;
   ArenaVector<BlockMeta> block_meta_;  // per warp block, one sweep's worth
-  std::vector<std::vector<std::size_t>> chunk_live_;  // live block ids
-  ArenaVector<KernelStats> chunk_stats_;
-  std::vector<SweepScratch> scratch_;
-  std::size_t chunks_override_ = 0;  // testing only; 0 = automatic
-  bool in_sweep_ = false;            // reentrancy guard
-};
-
-/// RAII form of Engine::set_sweep_chunks_for_test: restores the
-/// automatic chunking policy on scope exit, so a throwing test body or a
-/// failed ASSERT cannot leak a forced chunk count into later tests.
-class ScopedSweepChunks {
- public:
-  ScopedSweepChunks(Engine& engine, std::size_t n) : engine_(&engine) {
-    engine_->set_sweep_chunks_for_test(n);
-  }
-  ~ScopedSweepChunks() { engine_->set_sweep_chunks_for_test(0); }
-  ScopedSweepChunks(const ScopedSweepChunks&) = delete;
-  ScopedSweepChunks& operator=(const ScopedSweepChunks&) = delete;
-
- private:
-  Engine* engine_;
-};
-
-/// RAII form of set_global_sweep_chunks_for_test: forces the chunk
-/// policy of EVERY engine in the process (driver-owned engines included)
-/// and restores the automatic policy on scope exit. Not nestable; the
-/// driver-level sharded-vs-fused tests are its only intended user.
-class ScopedGlobalSweepChunks {
- public:
-  explicit ScopedGlobalSweepChunks(std::size_t n) {
-    set_global_sweep_chunks_for_test(n);
-  }
-  ~ScopedGlobalSweepChunks() { set_global_sweep_chunks_for_test(0); }
-  ScopedGlobalSweepChunks(const ScopedGlobalSweepChunks&) = delete;
-  ScopedGlobalSweepChunks& operator=(const ScopedGlobalSweepChunks&) = delete;
+  SweepScratch scratch_;
+  bool in_sweep_ = false;  // reentrancy guard
 };
 
 /// Builds one WorkItem per listed slot covering its whole adjacency.

@@ -58,8 +58,8 @@ struct KernelStats {
 
   KernelStats& operator+=(const KernelStats& other);
 
-  /// Counter-for-counter equality — the determinism tests compare serial
-  /// and sharded sweeps with this, so it must stay exact (no tolerance).
+  /// Counter-for-counter equality — the determinism and reference-walker
+  /// tests compare runs with this, so it must stay exact (no tolerance).
   [[nodiscard]] bool operator==(const KernelStats& other) const = default;
 };
 

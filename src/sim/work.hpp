@@ -16,10 +16,10 @@
 //
 // Work lists built from a *frontier* (data-driven sweeps) are rebuilt per
 // sweep from the active list. Frontiers produced inside a sweep — SSSP's
-// changed set, BC forward's next wave — are appended in the serial
-// Phase B replay order (DESIGN.md §7), so the slot list a frontier work
-// list is built from is byte-identical at any thread count or chunking,
-// and so is the resulting WorkItem layout.
+// changed set, BC forward's next wave — are appended in the engine's
+// serial warp/lane call order (DESIGN.md §7), so the slot list a
+// frontier work list is built from is byte-identical at any thread
+// count, and so is the resulting WorkItem layout.
 #pragma once
 
 #include <cstdint>

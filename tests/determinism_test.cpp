@@ -419,8 +419,8 @@ EngineRun run_engine_sweeps(const Csr& graph, std::span<const sim::WorkItem> ite
 }
 
 TEST(EngineDeterminism, GoldenStatsAcrossThreadCounts) {
-  // Scale 11 -> 64 warp blocks of 32 items: comfortably above the
-  // kMinBlocksToShard threshold, so t > 1 actually shards Phase A.
+  // Scale 11 -> 64 warp blocks of 32 items. The engine walks serially;
+  // the pinned pool width must not leak into its counters or results.
   const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
   const auto items = sim::items_all_vertices(g);
   ASSERT_GE(items.size() / sim::SimConfig{}.warp_size, std::size_t{32});
@@ -446,8 +446,8 @@ TEST(EngineDeterminism, GoldenStatsAcrossThreadCounts) {
 
 TEST(EngineDeterminism, TailWarpWithPartialLanes) {
   // Drop a few trailing items so the last warp block has fewer than
-  // warp_size lanes — the sharded accounting phase must charge the
-  // partial block exactly like the serial engine does.
+  // warp_size lanes — the partial block must be charged the same at
+  // every pool width.
   const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
   const auto all = sim::items_all_vertices(g);
   const std::uint32_t ws = sim::SimConfig{}.warp_size;
@@ -468,105 +468,6 @@ TEST(EngineDeterminism, TailWarpWithPartialLanes) {
               0)
         << "threads=" << t;
   }
-}
-
-/// Like run_engine_sweeps, but forces the engine's chunking policy
-/// (0 = automatic) and additionally gates out every source whose slot is
-/// in [dead_lo, dead_hi) — with items_all_vertices that window can cover
-/// one whole warp block, making the block dead for the entire run.
-EngineRun run_engine_sweeps_chunked(const Csr& graph,
-                                    std::span<const sim::WorkItem> items,
-                                    NodeId source, int sweeps,
-                                    std::size_t chunks, NodeId dead_lo,
-                                    NodeId dead_hi) {
-  EngineRun r;
-  sim::Engine engine(graph, sim::SimConfig{});
-  const sim::ScopedSweepChunks forced_chunks(engine, chunks);
-  sim::SweepOptions opts;
-  opts.weighted = graph.has_weights();
-  r.dist.assign(graph.num_slots(), std::numeric_limits<double>::infinity());
-  r.dist[source] = 0.0;
-  for (int s = 0; s < sweeps; ++s) {
-    engine.sweep_gated(
-        items, opts,
-        [&](NodeId u) {
-          if (u >= dead_lo && u < dead_hi) return false;
-          return r.dist[u] != std::numeric_limits<double>::infinity();
-        },
-        [&](NodeId u, NodeId v, Weight w) {
-          const double nd = r.dist[u] + static_cast<double>(w);
-          if (nd < r.dist[v]) {
-            r.dist[v] = nd;
-            return true;
-          }
-          return false;
-        },
-        r.stats);
-  }
-  return r;
-}
-
-TEST(EngineDeterminism, FusedAndShardedPathsShareGoldenStats) {
-  // The same sweep sequence through all three execution paths — the
-  // fused serial path (automatic policy at one thread), the forced
-  // one-chunk two-phase path, and the forced 8-chunk sharded path at 8
-  // threads — must produce one golden KernelStats + attribute vector.
-  // The item list has a partial tail warp (3 items dropped) AND one
-  // fully gated-out block, the two shapes where live-block compaction
-  // and per-block metadata could plausibly diverge from the replay.
-  const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
-  const auto all = sim::items_all_vertices(g);
-  // No holes in the preset, so item i's source is slot i and the window
-  // [dead_b*ws, dead_b*ws + ws) below covers exactly warp block dead_b.
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(g.num_slots()));
-  const std::uint32_t ws = sim::SimConfig{}.warp_size;
-  const std::span<const sim::WorkItem> items(all.data(), all.size() - 3);
-  ASSERT_NE(items.size() % ws, 0u);  // the tail warp is genuinely partial
-  const std::size_t n_blocks = (items.size() + ws - 1) / ws;
-  ASSERT_GE(n_blocks, std::size_t{16});
-  const NodeId source = busiest_node(g);
-
-  // Gate out every source of one full (non-tail) warp block that is not
-  // the SSSP source's block, so the block stays dead all run.
-  const std::size_t dead_b = (source / ws == 5) ? 6 : 5;
-  const NodeId dead_lo = static_cast<NodeId>(dead_b * ws);
-  const NodeId dead_hi = dead_lo + ws;
-  bool dead_block_has_edges = false;
-  for (NodeId u = dead_lo; u < dead_hi; ++u) {
-    dead_block_has_edges = dead_block_has_edges || g.degree(u) > 0;
-  }
-  ASSERT_TRUE(dead_block_has_edges);  // skipping it must actually skip work
-
-  const EngineRun fused = at_threads(1, [&] {
-    return run_engine_sweeps_chunked(g, items, source, 3, 0, dead_lo, dead_hi);
-  });
-  EXPECT_GT(fused.stats.warp_steps, 0u);
-  EXPECT_GT(fused.stats.atomic_commits, 0u);
-
-  // The exclusion window must have engaged: an unrestricted run charges
-  // more warp steps than one with a whole block gated out.
-  const EngineRun unrestricted = at_threads(
-      1, [&] { return run_engine_sweeps_chunked(g, items, source, 3, 0, 0, 0); });
-  EXPECT_GT(unrestricted.stats.warp_steps, fused.stats.warp_steps);
-
-  const EngineRun two_phase = at_threads(1, [&] {
-    return run_engine_sweeps_chunked(g, items, source, 3, 1, dead_lo, dead_hi);
-  });
-  const EngineRun sharded = at_threads(8, [&] {
-    return run_engine_sweeps_chunked(g, items, source, 3, 8, dead_lo, dead_hi);
-  });
-  EXPECT_EQ(two_phase.stats, fused.stats) << "two-phase 1-chunk vs fused";
-  EXPECT_EQ(sharded.stats, fused.stats) << "sharded 8-chunk vs fused";
-  ASSERT_EQ(two_phase.dist.size(), fused.dist.size());
-  ASSERT_EQ(sharded.dist.size(), fused.dist.size());
-  EXPECT_EQ(std::memcmp(two_phase.dist.data(), fused.dist.data(),
-                        fused.dist.size() * sizeof(double)),
-            0)
-      << "two-phase attribute bits differ from fused";
-  EXPECT_EQ(std::memcmp(sharded.dist.data(), fused.dist.data(),
-                        fused.dist.size() * sizeof(double)),
-            0)
-      << "sharded attribute bits differ from fused";
 }
 
 // --- algorithm runners -----------------------------------------------

@@ -664,6 +664,20 @@ void Engine::sweep_blocks(int n) {
   EXPECT_EQ(count_rule(result, "R6"), 1u);
 }
 
+TEST(LintR6, SizedVectorInEngineWalkMethodFires) {
+  // The per-block walker runs once per live warp block of every sweep.
+  const auto result = lint::lint_source("src/sim/engine.hpp", R"cpp(
+class Engine {
+  void walk_block(int n) {
+    std::vector<int> tmp(n);
+    use(tmp);
+  }
+};
+)cpp");
+  EXPECT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(count_rule(result, "R6"), 1u);
+}
+
 TEST(LintR6, SizedVectorInColdMethodIsClean) {
   const auto result = lint::lint_source("src/sim/engine.cpp", R"cpp(
 void Engine::load_topology(int n) {

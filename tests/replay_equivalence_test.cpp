@@ -1,32 +1,35 @@
-// Replay-equivalence contract for sharded sweeps (DESIGN.md §7): a
-// sweep forced onto the two-phase path — Phase A accounting sharded
-// across chunks and threads, Phase B replayed serially in live-block
-// order — must produce KernelStats and attribute bits IDENTICAL to the
-// fused one-thread path, at every thread count and chunking, including
-// a partial tail warp and a fully gated-out block. The shapes are the
-// functors the algorithms actually use: min-merge (SSSP relax, BFS
-// levels), sum-merge (PageRank push and pull), ordered absorb (BC
-// backward contributions), and a Gauss-Seidel relaxation that reads
-// its own same-sweep writes, where cross-block replay order is
-// observable.
+// Reference-walker oracle for the SIMT engine (DESIGN.md §7).
 //
-// The sweep-aggregate shapes extend the contract to functors with scalar
-// side effects: the runner's SSSP relax (stall sums + discovery flag +
-// changed-list appends, exact-threshold tie rejections included) and BC
-// forward (frontier appends, down to the empty final wave and a
-// full-frontier sweep) must reproduce every aggregate and the append
-// ORDER bit-for-bit. Driver-level tests then force the global chunk
-// policy and pin full run_algorithm outputs (attr, stats, sim_seconds,
-// trace) for run_sssp and run_bc against the unforced one-thread run.
-// The engine's reentrancy guard is pinned by death tests: nested sweeps
-// on one engine die loudly instead of corrupting scratch.
+// The engine walks each live warp block once: one loop over the step's
+// live lanes charges accounting and replays the functor, segment and
+// bank indices are shifts and masks, and ungated sweeps over an
+// invariant item list reuse their accounting. This file holds the naive
+// walker that the engine must reproduce: every lane at every step,
+// geometry by division, accounting and replay as separate passes over
+// all blocks, hash-free containers. Engine and reference run the same
+// sweep sequence on the same functor shape, and their KernelStats and
+// attribute bits must be identical.
+//
+// The matrix covers transaction_bytes 32 and 128, Csr and
+// IdealWarpPacked edge loads, global, shared and resident-cluster
+// attributes, weighted and edges_resident sweeps, warp sizes 32 and 64,
+// a partial tail warp and a fully gated-out block. The shapes are the
+// functors the algorithms use: min-merge (SSSP relax, BFS levels),
+// sum-merge (PageRank push and pull), ordered absorb (BC backward), a
+// Gauss-Seidel relaxation that reads its own same-sweep writes (where
+// cross-block replay order is observable), and the runner's SSSP relax
+// and BC forward with their scalar aggregates and append order.
+//
+// Accounting reuse is pinned against full walks, and the engine's
+// reentrancy guard by death tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,24 +39,149 @@
 #include "graph/csr.hpp"
 #include "sim/engine.hpp"
 #include "util/bitset.hpp"
-#include "util/parallel.hpp"
 
 namespace graffix {
 namespace {
 
-constexpr int kThreadCounts[] = {1, 2, 8};
-constexpr std::size_t kChunkCounts[] = {2, 8};
-// Sweep-aggregate matrix: single-chunk, mid, and one-chunk-per-block —
-// 4096 exceeds every block count used here, so the policy clamp makes
-// it the "whole" (maximally sharded) configuration.
-constexpr std::size_t kAggregateChunkCounts[] = {1, 4, 4096};
+/// The engine's semantics written the slow, obvious way. Gates all run
+/// before any fn(); pass 1 charges accounting for every block, pass 2
+/// replays every block through fn.
+class ReferenceWalker {
+ public:
+  ReferenceWalker(const Csr& graph, sim::SimConfig config)
+      : graph_(graph), config_(config) {}
 
-/// Runs fn with the worker pool pinned to t threads.
-template <typename Fn>
-auto at_threads(int t, Fn&& fn) {
-  ScopedNumThreads pin(t);
-  return fn();
-}
+  template <typename Gate, typename Fn>
+  void sweep_gated(std::span<const sim::WorkItem> items,
+                   const sim::SweepOptions& opts, Gate&& gate, Fn&& fn,
+                   sim::KernelStats& st) {
+    if (opts.charge_launch) st.sweeps += 1;
+    std::vector<bool> gated_in(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      gated_in[i] = gate(items[i].src);
+    }
+    const std::uint32_t ws = config_.warp_size;
+    const std::size_t n_blocks = (items.size() + ws - 1) / ws;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      account(items, gated_in, opts, b, st);
+    }
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      replay(items, gated_in, b, fn, st);
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t lanes(std::span<const sim::WorkItem> items,
+                                  std::size_t b) const {
+    return std::min<std::size_t>(config_.warp_size,
+                                 items.size() - b * config_.warp_size);
+  }
+
+  [[nodiscard]] NodeId steps(std::span<const sim::WorkItem> items,
+                             const std::vector<bool>& gated_in,
+                             std::size_t b) const {
+    NodeId len = 0;
+    for (std::size_t l = 0; l < lanes(items, b); ++l) {
+      const std::size_t i = b * config_.warp_size + l;
+      if (gated_in[i]) len = std::max(len, items[i].edge_count);
+    }
+    return len;
+  }
+
+  void account(std::span<const sim::WorkItem> items,
+               const std::vector<bool>& gated_in,
+               const sim::SweepOptions& opts, std::size_t b,
+               sim::KernelStats& st) const {
+    const NodeId len = steps(items, gated_in, b);
+    if (len == 0) return;
+    const std::uint64_t tx = config_.transaction_bytes;
+    const std::uint64_t attr_bytes = config_.attr_bytes;
+    const std::uint64_t edge_bytes = config_.edge_bytes;
+    const auto targets = graph_.targets();
+    st.warp_steps += len;
+    st.lane_slots += std::uint64_t{len} * config_.warp_size;
+    std::vector<std::uint64_t> last_edge_seg(config_.warp_size,
+                                             ~std::uint64_t{0});
+    for (NodeId j = 0; j < len; ++j) {
+      std::uint64_t active = 0, edge_segs = 0, shared_hits = 0;
+      std::vector<std::uint64_t> attr_segs;
+      std::map<std::uint64_t, NodeId> bank_word;
+      for (std::size_t l = 0; l < lanes(items, b); ++l) {
+        const std::size_t i = b * config_.warp_size + l;
+        const sim::WorkItem& item = items[i];
+        if (!gated_in[i] || j >= item.edge_count) continue;
+        ++active;
+        const EdgeId e = item.edge_begin + j;
+        const NodeId v = targets[e];
+        if (opts.edge_mode == sim::EdgeLoadMode::Csr) {
+          const std::uint64_t seg = (e * edge_bytes) / tx;
+          if (seg != last_edge_seg[l]) {
+            last_edge_seg[l] = seg;
+            ++edge_segs;
+          }
+        }
+        const bool resident_pair = !opts.resident.empty() &&
+                                   opts.resident[item.src] != kInvalidNode &&
+                                   opts.resident[item.src] == opts.resident[v];
+        if (opts.attr_space == sim::AttrSpace::Shared || resident_pair) {
+          ++shared_hits;
+          const std::uint64_t bank = v % config_.shared_banks;
+          const auto it = bank_word.find(bank);
+          if (it != bank_word.end() && it->second != v) st.bank_conflicts += 1;
+          bank_word[bank] = v;
+        } else {
+          const std::uint64_t seg = (std::uint64_t{v} * attr_bytes) / tx;
+          if (std::find(attr_segs.begin(), attr_segs.end(), seg) ==
+              attr_segs.end()) {
+            attr_segs.push_back(seg);
+          }
+        }
+      }
+      if (opts.edge_mode == sim::EdgeLoadMode::IdealWarpPacked) edge_segs = 1;
+      if (opts.weighted) edge_segs *= 2;
+      if (opts.edges_resident) {
+        st.shared_accesses += active;
+        edge_segs = 0;
+      }
+      st.active_lanes += active;
+      st.edge_transactions += edge_segs;
+      st.attr_transactions += attr_segs.size();
+      st.shared_accesses += shared_hits;
+      st.attr_ideal_transactions +=
+          ((active - shared_hits) * attr_bytes + tx - 1) / tx;
+    }
+  }
+
+  template <typename Fn>
+  void replay(std::span<const sim::WorkItem> items,
+              const std::vector<bool>& gated_in, std::size_t b, Fn& fn,
+              sim::KernelStats& st) const {
+    const NodeId len = steps(items, gated_in, b);
+    const auto targets = graph_.targets();
+    const auto weights = graph_.weights();
+    for (NodeId j = 0; j < len; ++j) {
+      std::vector<NodeId> dsts;
+      for (std::size_t l = 0; l < lanes(items, b); ++l) {
+        const std::size_t i = b * config_.warp_size + l;
+        const sim::WorkItem& item = items[i];
+        if (!gated_in[i] || j >= item.edge_count) continue;
+        const EdgeId e = item.edge_begin + j;
+        const NodeId v = targets[e];
+        const bool first_at_v =
+            std::find(dsts.begin(), dsts.end(), v) == dsts.end();
+        dsts.push_back(v);
+        const Weight w = weights.empty() ? Weight{1} : weights[e];
+        if (fn(item.src, v, w)) {
+          st.atomic_commits += 1;
+          if (!first_at_v) st.atomic_conflicts += 1;
+        }
+      }
+    }
+  }
+
+  const Csr& graph_;
+  sim::SimConfig config_;
+};
 
 NodeId busiest_node(const Csr& g) {
   NodeId best = 0, best_degree = 0;
@@ -82,42 +210,15 @@ void expect_same_run(const SweepRun& oracle, const SweepRun& got,
       << what << ": attribute bits differ";
 }
 
-/// One functor shape: given a forced chunk count, runs the full sweep
-/// sequence on a fresh engine and returns the run record. chunks == 0
-/// leaves the automatic policy (the fused path at one thread on any
-/// machine — the reference oracle).
-using ShapeFn = std::function<SweepRun(std::size_t chunks)>;
-
-/// Drives the full differential matrix for one shape: the fused oracle
-/// vs the sharded two-phase path at every (chunks, threads) cell.
-void run_shape_differential(const ShapeFn& shape, const char* name,
-                            std::span<const std::size_t> chunk_list) {
-  const SweepRun oracle = at_threads(1, [&] { return shape(/*chunks=*/0); });
-  EXPECT_GT(oracle.stats.atomic_commits, 0u)
-      << name << ": vacuous shape proves nothing";
-  for (std::size_t chunks : chunk_list) {
-    for (int t : kThreadCounts) {
-      const SweepRun got = at_threads(t, [&] { return shape(chunks); });
-      expect_same_run(oracle, got,
-                      std::string(name) + " | sharded | chunks=" +
-                          std::to_string(chunks) +
-                          " threads=" + std::to_string(t));
-    }
-  }
-}
-
-void run_shape_differential(const ShapeFn& shape, const char* name) {
-  run_shape_differential(shape, name, kChunkCounts);
-}
-
-/// Work list with a genuinely partial tail warp (3 items dropped) and a
-/// gate window [dead_lo, dead_hi) covering one full non-tail warp block
-/// that stays dead for the whole run — the two block shapes where the
-/// sharded chunk boundaries could plausibly diverge from the fused walk.
+/// Work list with a genuinely partial tail warp (3 items dropped) at
+/// both warp sizes, and a gate window [dead_lo, dead_hi) covering one
+/// full 64-lane block (two full 32-lane blocks) that stays dead for the
+/// whole run. `resident` assigns most slots to 96-slot clusters.
 struct ShapeInputs {
   Csr graph;
   std::vector<sim::WorkItem> all_items;
   std::span<const sim::WorkItem> items;
+  std::vector<NodeId> resident;
   NodeId source = 0;
   NodeId dead_lo = 0;
   NodeId dead_hi = 0;
@@ -127,16 +228,25 @@ ShapeInputs make_inputs() {
   ShapeInputs in;
   in.graph = make_preset(GraphPreset::Rmat26, 11, 13);
   in.all_items = sim::items_all_vertices(in.graph);
-  const std::uint32_t ws = sim::SimConfig{}.warp_size;
   in.items = std::span<const sim::WorkItem>(in.all_items.data(),
                                             in.all_items.size() - 3);
-  EXPECT_NE(in.items.size() % ws, 0u);  // tail warp genuinely partial
+  EXPECT_NE(in.items.size() % 32, 0u);  // tail warp genuinely partial
+  EXPECT_NE(in.items.size() % 64, 0u);
   in.source = busiest_node(in.graph);
-  // No holes in the preset, so slot == item index and the window covers
-  // exactly one warp block; avoid the source's own block.
-  const std::size_t dead_b = (in.source / ws == 5) ? 6 : 5;
-  in.dead_lo = static_cast<NodeId>(dead_b * ws);
-  in.dead_hi = in.dead_lo + ws;
+  // No holes in the preset, so slot == item index; avoid the source's
+  // own block.
+  const NodeId dead_b = (in.source / 64 == 5) ? 6 : 5;
+  in.dead_lo = dead_b * 64;
+  in.dead_hi = in.dead_lo + 64;
+  bool dead_window_has_edges = false;
+  for (NodeId u = in.dead_lo; u < in.dead_hi; ++u) {
+    dead_window_has_edges = dead_window_has_edges || in.graph.degree(u) > 0;
+  }
+  EXPECT_TRUE(dead_window_has_edges);  // gating it out must skip work
+  in.resident.assign(in.graph.num_slots(), kInvalidNode);
+  for (NodeId s = 0; s < in.graph.num_slots(); ++s) {
+    if (s % 4 != 3) in.resident[s] = s / 96;
+  }
   return in;
 }
 
@@ -145,23 +255,104 @@ bool live_src(const ShapeInputs& in, NodeId u) {
   return u < in.dead_lo || u >= in.dead_hi;
 }
 
+// --- the configuration matrix -----------------------------------------
+
+enum class Attr { Global, Shared, Resident };
+
+struct WalkConfig {
+  std::uint32_t warp_size = 32;
+  std::uint32_t transaction_bytes = 32;
+  sim::EdgeLoadMode edge_mode = sim::EdgeLoadMode::Csr;
+  Attr attr = Attr::Global;
+  bool weighted = false;
+  bool edges_resident = false;
+
+  [[nodiscard]] sim::SimConfig sim() const {
+    sim::SimConfig c;
+    c.warp_size = warp_size;
+    c.transaction_bytes = transaction_bytes;
+    return c;
+  }
+
+  [[nodiscard]] sim::SweepOptions options(const ShapeInputs& in) const {
+    sim::SweepOptions o;
+    o.edge_mode = edge_mode;
+    o.attr_space = attr == Attr::Shared ? sim::AttrSpace::Shared
+                                        : sim::AttrSpace::Global;
+    if (attr == Attr::Resident) o.resident = in.resident;
+    o.weighted = weighted;
+    o.edges_resident = edges_resident;
+    return o;
+  }
+
+  [[nodiscard]] std::string describe() const {
+    static const char* kAttr[] = {"global", "shared", "resident"};
+    return " | ws=" + std::to_string(warp_size) +
+           " tx=" + std::to_string(transaction_bytes) +
+           (edge_mode == sim::EdgeLoadMode::Csr ? " csr" : " ideal") + " " +
+           kAttr[static_cast<int>(attr)] + (weighted ? " weighted" : "") +
+           (edges_resident ? " edges-resident" : "");
+  }
+};
+
+/// Every combination: 2 warp sizes x 2 segment sizes x 2 edge modes x
+/// 3 attribute spaces x {plain, weighted, edges_resident}.
+std::vector<WalkConfig> full_matrix() {
+  std::vector<WalkConfig> out;
+  for (const std::uint32_t ws : {32u, 64u}) {
+    for (const std::uint32_t tx : {32u, 128u}) {
+      for (const auto mode :
+           {sim::EdgeLoadMode::Csr, sim::EdgeLoadMode::IdealWarpPacked}) {
+        for (const Attr attr : {Attr::Global, Attr::Shared, Attr::Resident}) {
+          for (int flags = 0; flags < 3; ++flags) {
+            out.push_back({ws, tx, mode, attr, flags == 1, flags == 2});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// The default device and one that flips every knob.
+std::vector<WalkConfig> corner_matrix() {
+  return {WalkConfig{},
+          WalkConfig{64, 128, sim::EdgeLoadMode::IdealWarpPacked,
+                     Attr::Resident, true, false}};
+}
+
+/// Runs `shape` through the engine and the reference walker under every
+/// config and compares the runs. `shape(walker, opts)` drives a fresh
+/// walker through its whole sweep sequence.
+template <typename Shape>
+void expect_matches_reference(const ShapeInputs& in, const Shape& shape,
+                              const char* name,
+                              const std::vector<WalkConfig>& configs) {
+  for (const WalkConfig& cfg : configs) {
+    const sim::SweepOptions opts = cfg.options(in);
+    ReferenceWalker ref(in.graph, cfg.sim());
+    const SweepRun oracle = shape(ref, opts);
+    EXPECT_GT(oracle.stats.atomic_commits, 0u)
+        << name << cfg.describe() << ": vacuous shape proves nothing";
+    sim::Engine engine(in.graph, cfg.sim());
+    expect_same_run(oracle, shape(engine, opts),
+                    std::string(name) + cfg.describe());
+  }
+}
+
 // --- the functor shapes ----------------------------------------------
 
 /// SSSP-style Jacobi min-plus: relaxes next[] from a stable dist[]
-/// snapshot — the exact shape of the bench engine_sweep cell.
-ShapeFn minplus_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+/// snapshot.
+auto minplus_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = in.graph.has_weights();
     std::vector<double> dist(in.graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
     std::vector<double> next(dist);
     for (int s = 0; s < 3; ++s) {
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
@@ -181,19 +372,15 @@ ShapeFn minplus_shape(const ShapeInputs& in) {
 }
 
 /// BFS-style Jacobi level merge: integer min into next_level[].
-ShapeFn bfs_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+auto bfs_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     constexpr std::uint32_t kUnset = 0xffffffffu;
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = false;
     std::vector<std::uint32_t> level(in.graph.num_slots(), kUnset);
     level[in.source] = 0;
     std::vector<std::uint32_t> next(level);
     for (int s = 0; s < 3; ++s) {
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && level[u] != kUnset; },
           [&](NodeId u, NodeId v, Weight) {
@@ -212,21 +399,16 @@ ShapeFn bfs_shape(const ShapeInputs& in) {
   };
 }
 
-/// PageRank push: FP sum merged into next[v] — the shape where the
-/// per-target accumulation ORDER is observable in the bits, so this is
-/// the test that would catch any chunking-dependent absorb order.
-ShapeFn pr_push_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+/// PageRank push: FP sum merged into next[v] — the per-target
+/// accumulation ORDER is observable in the bits.
+auto pr_push_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = false;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
     for (int s = 0; s < 2; ++s) {
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && in.graph.degree(u) > 0; },
           [&](NodeId u, NodeId v, Weight) {
@@ -243,19 +425,15 @@ ShapeFn pr_push_shape(const ShapeInputs& in) {
 }
 
 /// PageRank pull: FP sum merged into the SOURCE side (next[u] gathers
-/// from stable rank[v]) — exercises MergeTarget::Src grouping.
-ShapeFn pr_pull_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+/// from stable rank[v]).
+auto pr_pull_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = false;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
     for (int s = 0; s < 2; ++s) {
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts, [&](NodeId u) { return live_src(in, u); },
           [&](NodeId u, NodeId v, Weight) {
             const NodeId deg = std::max<NodeId>(in.graph.degree(v), 1);
@@ -273,15 +451,10 @@ ShapeFn pr_pull_shape(const ShapeInputs& in) {
 
 /// BC-backward-style ordered absorb: delta[u] accumulates sigma-weighted
 /// contributions read from sweep-stable arrays (sigma, prev).
-ShapeFn bc_absorb_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+auto bc_absorb_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = false;
     const std::size_t n = in.graph.num_slots();
-    // Deterministic stand-ins for path counts and child deltas.
     std::vector<double> sigma(n), prev(n);
     for (std::size_t v = 0; v < n; ++v) {
       sigma[v] = 1.0 + static_cast<double>(in.graph.degree(
@@ -289,7 +462,7 @@ ShapeFn bc_absorb_shape(const ShapeInputs& in) {
       prev[v] = static_cast<double>((v * 2654435761u) & 0xff) / 256.0;
     }
     std::vector<double> delta(n, 0.0);
-    engine.sweep_gated(
+    walker.sweep_gated(
         in.items, opts, [&](NodeId u) { return live_src(in, u); },
         [&](NodeId u, NodeId v, Weight) {
           delta[u] += (sigma[u] / sigma[v]) * (1.0 + prev[v]);
@@ -302,20 +475,15 @@ ShapeFn bc_absorb_shape(const ShapeInputs& in) {
 }
 
 /// Gauss-Seidel relaxation: reads the SAME array it merges into, so
-/// cross-block replay order is observable — the sharded Phase B must
-/// visit live blocks in exactly the fused path's order.
-ShapeFn gauss_seidel_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+/// cross-block replay order is observable.
+auto gauss_seidel_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = in.graph.has_weights();
     std::vector<double> dist(in.graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
     for (int s = 0; s < 3; ++s) {
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
@@ -335,54 +503,53 @@ ShapeFn gauss_seidel_shape(const ShapeInputs& in) {
 
 TEST(ReplayEquivalence, MinPlusMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(minplus_shape(in), "sssp-minplus");
+  expect_matches_reference(in, minplus_shape(in), "sssp-minplus",
+                           full_matrix());
 }
 
 TEST(ReplayEquivalence, BfsLevelMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(bfs_shape(in), "bfs-level");
+  expect_matches_reference(in, bfs_shape(in), "bfs-level", corner_matrix());
 }
 
 TEST(ReplayEquivalence, PageRankPushSumMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(pr_push_shape(in), "pr-push-sum");
+  expect_matches_reference(in, pr_push_shape(in), "pr-push-sum",
+                           full_matrix());
 }
 
 TEST(ReplayEquivalence, PageRankPullSumMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(pr_pull_shape(in), "pr-pull-sum");
+  expect_matches_reference(in, pr_pull_shape(in), "pr-pull-sum",
+                           corner_matrix());
 }
 
 TEST(ReplayEquivalence, BcAbsorbMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(bc_absorb_shape(in), "bc-absorb");
+  expect_matches_reference(in, bc_absorb_shape(in), "bc-absorb",
+                           full_matrix());
 }
 
 TEST(ReplayEquivalence, OrderSensitiveFunctorMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(gauss_seidel_shape(in), "gauss-seidel");
+  expect_matches_reference(in, gauss_seidel_shape(in), "gauss-seidel",
+                           full_matrix());
 }
 
 // --- sweep-aggregate shapes -------------------------------------------
 
 /// The runner's SSSP relax, aggregates included: the stall aggregates
-/// (improvement sum 0, base sum 1), the discovery flag, and
-/// the changed list — every value the driver's stall and frontier
-/// decisions read — are folded into attr alongside the stall verdict
-/// evaluated at the exact runner threshold, so the memcmp pins the
-/// decisions themselves, not just the distances. With `weighted ==
-/// false` the unit-step relaxation makes equal-length paths collide at
-/// the exact commit threshold (nd == next[v]); those ties must be
-/// REJECTED identically by the fused and sharded paths, and sum 2
-/// counts them so the tie case is proven to occur, never vacuous.
-ShapeFn sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
-  return [&in, weighted](std::size_t chunks) {
+/// (improvement sum 0, base sum 1), the discovery flag, and the changed
+/// list — every value the driver's stall and frontier decisions read —
+/// are folded into attr alongside the stall verdict evaluated at the
+/// exact runner threshold. With `weighted == false` unit steps make
+/// equal-length paths collide at the exact commit threshold
+/// (nd == next[v]); those ties must be REJECTED identically, and sum 2
+/// counts them so the tie case is proven to occur.
+auto sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
+  return [&in, weighted](auto& walker, const sim::SweepOptions& opts) {
     const double eps = weighted ? 1e-9 : 0.0;
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = weighted && in.graph.has_weights();
     const std::size_t n = in.graph.num_slots();
     std::vector<double> dist(n, std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
@@ -394,7 +561,7 @@ ShapeFn sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
       changed_mask.clear();
       double sum[3] = {0.0, 0.0, 0.0};
       bool discovered = false;
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
@@ -435,20 +602,13 @@ ShapeFn sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
 }
 
 /// The runner's BC forward: level-synchronous sigma sums with the next
-/// frontier appended in discovery order. Each wave's frontier
-/// — size AND contents, in discovery order — goes into attr, so the
-/// memcmp pins the exact slot order the next wave's work list is built
-/// from. The matrix covers the empty final wave (the loop's exit
-/// decision) and, after the BFS drains, one full-frontier sweep: every
-/// slot gated in at once (dead window included), the maximal-records /
-/// near-zero-append extreme of the same shape.
-ShapeFn bc_forward_aggregate_shape(const ShapeInputs& in) {
-  return [&in](std::size_t chunks) {
+/// frontier appended in discovery order. Each wave's frontier — size
+/// AND contents — goes into attr, down to the empty final wave; then one
+/// full-frontier sweep gates every slot in at once (dead window
+/// included).
+auto bc_forward_aggregate_shape(const ShapeInputs& in) {
+  return [&in](auto& walker, const sim::SweepOptions& opts) {
     SweepRun r;
-    sim::Engine engine(in.graph, sim::SimConfig{});
-    const sim::ScopedSweepChunks forced(engine, chunks);
-    sim::SweepOptions opts;
-    opts.weighted = false;
     const std::size_t n = in.graph.num_slots();
     std::vector<NodeId> level(n, kInvalidNode);
     std::vector<double> sigma(n, 0.0);
@@ -470,7 +630,7 @@ ShapeFn bc_forward_aggregate_shape(const ShapeInputs& in) {
     };
     while (depth < static_cast<NodeId>(n)) {
       frontier.clear();
-      engine.sweep_gated(
+      walker.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && level[u] == depth; },
           forward, r.stats);
@@ -480,8 +640,7 @@ ShapeFn bc_forward_aggregate_shape(const ShapeInputs& in) {
       ++depth;
     }
     frontier.clear();
-    engine.sweep_gated(in.items, opts, [](NodeId) { return true; }, forward,
-                       r.stats);
+    walker.sweep_gated(in.items, opts, sim::Ungated{}, forward, r.stats);
     r.attr.push_back(static_cast<double>(frontier.size()));
     for (NodeId v : frontier) r.attr.push_back(static_cast<double>(v));
     r.attr.insert(r.attr.end(), sigma.begin(), sigma.end());
@@ -492,19 +651,18 @@ ShapeFn bc_forward_aggregate_shape(const ShapeInputs& in) {
 
 TEST(SweepAggregateEquivalence, SsspRelaxMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(sssp_relax_aggregate_shape(in, /*weighted=*/true),
-                         "sssp-relax-aggregates", kAggregateChunkCounts);
+  expect_matches_reference(in,
+                           sssp_relax_aggregate_shape(in, /*weighted=*/true),
+                           "sssp-relax-aggregates", corner_matrix());
 }
 
 TEST(SweepAggregateEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
   const ShapeInputs in = make_inputs();
-  const ShapeFn shape = sssp_relax_aggregate_shape(in, /*weighted=*/false);
-  // The tie case must actually occur: with unit steps, multiple equal-
-  // length parents per target are guaranteed on an rmat graph, and each
-  // rejected exactly-at-threshold candidate bumps sum 2 (attr slot 3 of
-  // some sweep). Probe the fused oracle for a nonzero total first so the
-  // differential below cannot pass vacuously.
-  const SweepRun probe = at_threads(1, [&] { return shape(/*chunks=*/0); });
+  const auto shape = sssp_relax_aggregate_shape(in, /*weighted=*/false);
+  // The tie case must actually occur: each rejected exactly-at-threshold
+  // candidate bumps sum 2 (attr slot 3 of some sweep).
+  ReferenceWalker probe_walker(in.graph, sim::SimConfig{});
+  const SweepRun probe = shape(probe_walker, sim::SweepOptions{});
   double ties = 0.0;
   std::size_t at = 0;
   for (int s = 0; s < 3; ++s) {
@@ -512,98 +670,159 @@ TEST(SweepAggregateEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
     at += 6 + static_cast<std::size_t>(probe.attr[at + 5]);
   }
   EXPECT_GT(ties, 0.0) << "no exact-threshold tie ever reached the functor";
-  run_shape_differential(shape, "sssp-relax-ties", kAggregateChunkCounts);
+  expect_matches_reference(in, shape, "sssp-relax-ties", corner_matrix());
 }
 
 TEST(SweepAggregateEquivalence, BcForwardFrontierMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(bc_forward_aggregate_shape(in),
-                         "bc-forward-aggregates", kAggregateChunkCounts);
+  expect_matches_reference(in, bc_forward_aggregate_shape(in),
+                           "bc-forward-aggregates", corner_matrix());
 }
 
-// --- driver-level sharded-vs-fused runs --------------------------------
+// --- accounting reuse -------------------------------------------------
 
-bool same_double_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-core::RunOutput run_driver(core::Algorithm alg, baselines::BaselineId baseline,
-                           const Csr& g, NodeId source) {
-  core::RunConfig cfg;
-  cfg.baseline = baseline;
-  cfg.collect_trace = true;
-  cfg.sssp_source = source;
-  cfg.bc_sample_count = 4;
-  return core::run_algorithm(alg, g, cfg);
-}
-
-void expect_same_output(const core::RunOutput& oracle,
-                        const core::RunOutput& got, const std::string& what) {
-  EXPECT_EQ(got.stats, oracle.stats) << what << ": stats differ";
-  EXPECT_EQ(got.iterations, oracle.iterations) << what;
-  EXPECT_TRUE(same_double_bits(got.sim_seconds, oracle.sim_seconds))
-      << what << ": sim_seconds bits differ";
-  EXPECT_TRUE(same_double_bits(got.scalar, oracle.scalar)) << what;
-  ASSERT_EQ(got.attr.size(), oracle.attr.size()) << what;
-  EXPECT_EQ(std::memcmp(got.attr.data(), oracle.attr.data(),
-                        got.attr.size() * sizeof(double)),
-            0)
-      << what << ": attr bits differ";
-  ASSERT_EQ(got.trace.size(), oracle.trace.size()) << what;
-  for (std::size_t i = 0; i < got.trace.size(); ++i) {
-    EXPECT_EQ(got.trace[i].iteration, oracle.trace[i].iteration) << what;
-    EXPECT_EQ(got.trace[i].stats, oracle.trace[i].stats)
-        << what << ": trace[" << i << "] stats differ";
-  }
-}
-
-/// Runs the real driver (private engine and all) with the process-wide
-/// chunk policy forced, at every thread count, and pins the COMPLETE
-/// RunOutput against the unforced one-thread baseline. Any forced chunk
-/// count — 1 included — takes the two-phase path, so every engine sweep
-/// of the forced runs is sharded.
-void run_driver_sharded_differential(core::Algorithm alg,
-                                     baselines::BaselineId baseline,
-                                     const char* name) {
-  const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
-  const NodeId source = busiest_node(g);
-  const core::RunOutput oracle =
-      at_threads(1, [&] { return run_driver(alg, baseline, g, source); });
-  EXPECT_GT(oracle.stats.atomic_commits, 0u) << name;
-  constexpr std::size_t kDriverChunks[] = {1, 4096};
-  for (std::size_t chunks : kDriverChunks) {
-    for (int t : kThreadCounts) {
-      const core::RunOutput got = at_threads(t, [&] {
-        const sim::ScopedGlobalSweepChunks forced(chunks);
-        return run_driver(alg, baseline, g, source);
-      });
-      expect_same_output(oracle, got,
-                         std::string(name) + " | chunks=" +
-                             std::to_string(chunks) +
-                             " threads=" + std::to_string(t));
+/// N ungated sweeps of `fn_for(sweep)` over the full item list, either
+/// through sweep_reusing (one recorded accounting) or full walks.
+template <typename Step>
+SweepRun ungated_sweeps(const ShapeInputs& in, const WalkConfig& cfg,
+                        bool reuse, int n, Step&& step) {
+  SweepRun r;
+  sim::Engine engine(in.graph, cfg.sim());
+  const sim::SweepOptions opts = cfg.options(in);
+  sim::SweepAccounting acc;
+  std::vector<double> attr(in.graph.num_slots());
+  for (NodeId s = 0; s < in.graph.num_slots(); ++s) attr[s] = s;
+  for (int i = 0; i < n; ++i) {
+    auto fn = step(attr);
+    if (reuse) {
+      engine.sweep_reusing(in.all_items, opts, fn, acc, r.stats);
+    } else {
+      engine.sweep(in.all_items, opts, fn, r.stats);
     }
   }
+  r.attr = std::move(attr);
+  return r;
 }
 
-TEST(DriverGroupedPath, SsspTopologyDrivenBitIdentical) {
-  run_driver_sharded_differential(core::Algorithm::SSSP,
-                                  baselines::BaselineId::TopologyDriven,
-                                  "run_sssp/topology");
+/// PageRank push-sum: every lane commits, next[] sums in lane order.
+auto push_sum_step(const ShapeInputs& in) {
+  return [&in](std::vector<double>& rank) {
+    return [&in, &rank](NodeId u, NodeId v, Weight) {
+      rank[v] += 0.85 * rank[u] / static_cast<double>(in.graph.degree(u));
+      return true;
+    };
+  };
 }
 
-TEST(DriverGroupedPath, SsspGunrockLikeBitIdentical) {
-  run_driver_sharded_differential(core::Algorithm::SSSP,
-                                  baselines::BaselineId::GunrockLike,
-                                  "run_sssp/gunrock");
+/// MST-style min-label: commits only when the label drops, so commits
+/// and conflicts shrink sweep over sweep while the accounting does not.
+auto min_label_step() {
+  return [](std::vector<double>& label) {
+    return [&label](NodeId u, NodeId v, Weight) {
+      if (label[u] < label[v]) {
+        label[v] = label[u];
+        return true;
+      }
+      return false;
+    };
+  };
 }
 
-TEST(DriverGroupedPath, BcTopologyDrivenBitIdentical) {
-  run_driver_sharded_differential(core::Algorithm::BC,
-                                  baselines::BaselineId::TopologyDriven,
-                                  "run_bc/topology");
+template <typename Step>
+void expect_reuse_matches_full_walks(const ShapeInputs& in, Step step,
+                                     const char* name) {
+  for (const WalkConfig& cfg : corner_matrix()) {
+    const SweepRun full = ungated_sweeps(in, cfg, false, 4, step);
+    const SweepRun reused = ungated_sweeps(in, cfg, true, 4, step);
+    EXPECT_GT(full.stats.atomic_commits, 0u) << name;
+    expect_same_run(full, reused, std::string(name) + cfg.describe());
+  }
 }
 
-// --- reentrancy guard (the latent-bug fix) ---------------------------
+TEST(AccountingReuse, PushSumMatchesFullWalks) {
+  const ShapeInputs in = make_inputs();
+  expect_reuse_matches_full_walks(in, push_sum_step(in), "push-sum");
+}
+
+TEST(AccountingReuse, MinLabelMatchesFullWalks) {
+  const ShapeInputs in = make_inputs();
+  // The label shape must change its commit count between sweeps, or a
+  // reuse that also froze the atomic counters would pass.
+  const WalkConfig cfg;
+  const SweepRun one = ungated_sweeps(in, cfg, false, 1, min_label_step());
+  const SweepRun two = ungated_sweeps(in, cfg, false, 2, min_label_step());
+  EXPECT_NE(two.stats.atomic_commits, 2 * one.stats.atomic_commits);
+  expect_reuse_matches_full_walks(in, min_label_step(), "min-label");
+}
+
+TEST(AccountingReuseDeathTest, OtherItemListDies) {
+  // A frontier list is never the recorded one: sweep_reusing refuses to
+  // add stale accounting for it.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const ShapeInputs in = make_inputs();
+  const auto reuse_on_frontier = [&] {
+    sim::Engine engine(in.graph, sim::SimConfig{});
+    sim::SweepAccounting acc;
+    sim::KernelStats stats;
+    const auto fn = [](NodeId, NodeId, Weight) { return false; };
+    engine.sweep_reusing(in.all_items, {}, fn, acc, stats);
+    const std::vector<sim::WorkItem> frontier(in.all_items.begin(),
+                                              in.all_items.begin() + 100);
+    engine.sweep_reusing(frontier, {}, fn, acc, stats);
+  };
+  EXPECT_DEATH(reuse_on_frontier(), "recorded for another item list");
+}
+
+/// Per-iteration KernelStats deltas of a traced run, from the second
+/// iteration on (the first also carries the run's setup kernels).
+std::vector<sim::KernelStats> iteration_deltas(const core::RunOutput& out) {
+  std::vector<sim::KernelStats> deltas;
+  for (std::size_t i = 1; i < out.trace.size(); ++i) {
+    const sim::KernelStats& prev = out.trace[i - 1].stats;
+    sim::KernelStats d = out.trace[i].stats;
+    d.warp_steps -= prev.warp_steps;
+    d.active_lanes -= prev.active_lanes;
+    d.attr_transactions -= prev.attr_transactions;
+    deltas.push_back(d);
+  }
+  return deltas;
+}
+
+TEST(AccountingReuse, GatedAndFrontierDriverSweepsWalkInFull) {
+  // SSSP's topology-driven sweeps are gated over the driver's cached
+  // warp-order list and its data-driven sweeps run over frontiers; both
+  // must be walked in full every iteration. Replayed accounting would
+  // repeat the first iteration's active lanes every iteration.
+  const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
+  for (const auto baseline : {baselines::BaselineId::TopologyDriven,
+                              baselines::BaselineId::GunrockLike}) {
+    core::RunConfig rc;
+    rc.baseline = baseline;
+    rc.collect_trace = true;
+    rc.sssp_source = busiest_node(g);
+    const core::RunOutput out = core::run_algorithm(core::Algorithm::SSSP, g, rc);
+    const auto deltas = iteration_deltas(out);
+    ASSERT_GE(deltas.size(), 3u);
+    bool varies = false;
+    for (std::size_t i = 1; i < deltas.size(); ++i) {
+      varies = varies || deltas[i].active_lanes != deltas[0].active_lanes;
+    }
+    EXPECT_TRUE(varies) << baselines::baseline_name(baseline);
+  }
+  // PageRank's ungated sweeps over the cached list do reuse it: every
+  // iteration charges the same accounting.
+  core::RunConfig rc;
+  rc.collect_trace = true;
+  const auto deltas =
+      iteration_deltas(core::run_algorithm(core::Algorithm::PR, g, rc));
+  ASSERT_GE(deltas.size(), 3u);
+  for (std::size_t i = 1; i < deltas.size(); ++i) {
+    EXPECT_EQ(deltas[i].active_lanes, deltas[0].active_lanes);
+    EXPECT_EQ(deltas[i].attr_transactions, deltas[0].attr_transactions);
+  }
+}
+
+// --- reentrancy guard ---------------------------------------------------
 
 TEST(EngineReentrancy, SequentialSharingWorks) {
   // Two logical drivers issuing sweeps on ONE engine strictly in turn is
@@ -638,10 +857,10 @@ TEST(EngineReentrancy, SequentialSharingWorks) {
 
 TEST(EngineReentrancyDeathTest, NestedSweepDiesLoudly) {
   // A functor (or gate) that drives another sweep on the SAME engine
-  // would silently corrupt block_meta_/chunk scratch before this PR's
-  // guard; now it must abort with a diagnostic naming the contract.
-  // Threadsafe style: the worker pool may hold live threads by the time
-  // this test forks, and "fast" style forbids that.
+  // would silently corrupt the block metadata and sweep scratch; it must
+  // abort with a diagnostic naming the contract. Threadsafe style: the
+  // worker pool may hold live threads by the time this test forks, and
+  // "fast" style forbids that.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const Csr g = make_preset(GraphPreset::Rmat26, 10, 13);
   const auto items = sim::items_all_vertices(g);
@@ -664,8 +883,8 @@ TEST(EngineReentrancyDeathTest, NestedSweepDiesLoudly) {
 }
 
 TEST(EngineReentrancyDeathTest, NestedGateSweepDiesLoudly) {
-  // Same contract from the gate side: gates run during Phase A, where a
-  // nested sweep would race the chunk accounting itself.
+  // Same contract from the gate side: gates run during the prepass,
+  // where a nested sweep would overwrite the block metadata being built.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const Csr g = make_preset(GraphPreset::Rmat26, 10, 13);
   const auto items = sim::items_all_vertices(g);

@@ -418,7 +418,7 @@ struct LaneWalkRun {
   std::uint64_t call_digest = 1469598103934665603ull;  // FNV-1a of (u, v)
 };
 
-LaneWalkRun lane_walk_run(std::size_t chunks) {
+LaneWalkRun lane_walk_run() {
   constexpr NodeId kNodes = 256;
   std::vector<std::vector<NodeId>> adj(kNodes);
   adj[0] = {200, 201, 202};
@@ -450,7 +450,6 @@ LaneWalkRun lane_walk_run(std::size_t chunks) {
   SimConfig cfg = test_config();
   cfg.warp_size = 64;
   Engine engine(g, cfg);
-  const ScopedSweepChunks forced(engine, chunks);
   auto items = items_all_vertices(g);
   items.resize(69);
   LaneWalkRun run;
@@ -469,7 +468,7 @@ LaneWalkRun lane_walk_run(std::size_t chunks) {
 
 TEST(Engine, LiveLaneWalkMatchesPinnedStats) {
   constexpr std::uint64_t kCallDigest = 4087359737124891161ull;
-  const LaneWalkRun fused = lane_walk_run(0);
+  const LaneWalkRun walked = lane_walk_run();
   // Taken from an engine that scanned every lane at every step, so the
   // live-lane walk must reproduce a full scan exactly.
   KernelStats global;
@@ -487,16 +486,33 @@ TEST(Engine, LiveLaneWalkMatchesPinnedStats) {
   shared.attr_ideal_transactions = 0;
   shared.shared_accesses = 103;
   shared.bank_conflicts = 35;
-  EXPECT_EQ(fused.global, global);
-  EXPECT_EQ(fused.shared, shared);
-  EXPECT_EQ(fused.call_digest, kCallDigest);
-  // The sharded two-phase path must agree at any chunking.
-  for (const std::size_t chunks : {1u, 2u}) {
-    const LaneWalkRun sharded = lane_walk_run(chunks);
-    EXPECT_EQ(sharded.global, global) << "chunks=" << chunks;
-    EXPECT_EQ(sharded.shared, shared) << "chunks=" << chunks;
-    EXPECT_EQ(sharded.call_digest, kCallDigest) << "chunks=" << chunks;
-  }
+  EXPECT_EQ(walked.global, global);
+  EXPECT_EQ(walked.shared, shared);
+  EXPECT_EQ(walked.call_digest, kCallDigest);
+}
+
+TEST(EngineDeathTest, NonPowerOfTwoGeometryDies) {
+  // Segment and bank indices are shifts and masks, so every geometry
+  // field must be a power of two; the constructor refuses the rest.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Csr g = single_edge_graph(64, {1, 2, 3});
+  const auto engine_with = [&](auto&& tweak) {
+    SimConfig cfg = test_config();
+    tweak(cfg);
+    const Engine engine(g, cfg);
+    return engine.config().warp_size;
+  };
+  EXPECT_DEATH(engine_with([](SimConfig& c) { c.transaction_bytes = 96; }),
+               "powers of two");
+  EXPECT_DEATH(engine_with([](SimConfig& c) { c.attr_bytes = 6; }),
+               "powers of two");
+  EXPECT_DEATH(engine_with([](SimConfig& c) { c.edge_bytes = 12; }),
+               "powers of two");
+  EXPECT_DEATH(engine_with([](SimConfig& c) { c.shared_banks = 24; }),
+               "powers of two");
+  // Every in-repo geometry qualifies.
+  EXPECT_EQ(engine_with([](SimConfig&) {}), 32u);
+  EXPECT_EQ(engine_with([](SimConfig& c) { c.transaction_bytes = 32; }), 32u);
 }
 
 TEST(Engine, BankConflictsFollowLaneOrder) {
@@ -521,25 +537,29 @@ TEST(Engine, BankConflictsFollowLaneOrder) {
 
 TEST(SweepScratch, BankResizeInvalidatesSegmentStamps) {
   // Regression: resizing one epoch-stamped table rewinds `epoch` to 0,
-  // so the OTHER table's stale stamps must be cleared too — otherwise a
+  // so the OTHER tables' stale stamps must be cleared too — otherwise a
   // stamp left at e.g. 3 reads as valid again the moment the rewound
-  // epoch climbs back to 3, and insert_step_key falsely reports "already
-  // present" (undercounting attribute transactions).
+  // epoch climbs back to 3, and insert falsely reports "already present"
+  // (undercounting attribute transactions, or inventing commit
+  // conflicts in the destination set).
   SweepScratch sc;
   sc.ensure(32, 32);
   sc.epoch = 3;  // a few warp steps into a sweep
-  EXPECT_EQ(sc.insert_step_key(42), 1u);
-  EXPECT_EQ(sc.insert_step_key(42), 0u);
+  EXPECT_TRUE(sc.segs.insert(42, sc.epoch));
+  EXPECT_FALSE(sc.segs.insert(42, sc.epoch));
+  EXPECT_TRUE(sc.dsts.insert(42, sc.epoch));
+  EXPECT_FALSE(sc.dsts.insert(42, sc.epoch));
 
-  sc.ensure(32, 64);  // bank table resizes; segment table keeps its size
+  sc.ensure(32, 64);  // bank table resizes; the key sets keep their size
   EXPECT_EQ(sc.epoch, 0u);
-  // A fresh sweep reaches epoch 3 again: segment 42 must be new again.
+  // A fresh sweep reaches epoch 3 again: key 42 must be new again.
   sc.epoch = 3;
-  EXPECT_EQ(sc.insert_step_key(42), 1u);
+  EXPECT_TRUE(sc.segs.insert(42, sc.epoch));
+  EXPECT_TRUE(sc.dsts.insert(42, sc.epoch));
 }
 
 TEST(SweepScratch, SegmentResizeInvalidatesBankStamps) {
-  // Mirror image: a segment-table resize (warp size change) rewinds the
+  // Mirror image: a key-set resize (warp size change) rewinds the
   // epoch, so bank stamps must be cleared or a stale stamp would read as
   // a same-step bank hit (overcounting conflicts).
   SweepScratch sc;
@@ -548,7 +568,7 @@ TEST(SweepScratch, SegmentResizeInvalidatesBankStamps) {
   sc.bank_epoch[7] = 5;  // lane touched bank 7 this step
   sc.bank_word[7] = 99;
 
-  sc.ensure(64, 32);  // segment table resizes; bank table keeps its size
+  sc.ensure(64, 32);  // key sets resize; bank table keeps its size
   EXPECT_EQ(sc.epoch, 0u);
   for (const std::uint64_t stamp : sc.bank_epoch) EXPECT_EQ(stamp, 0u);
 }

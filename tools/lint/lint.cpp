@@ -632,7 +632,7 @@ void rules_r5_r6(const Scope& scope, const FileModel& m, const DiagFn& diag) {
       if (sn.kind != ScopeNode::Kind::Function) continue;
       if (sn.class_name != "Engine") continue;
       if (sn.name.rfind("sweep", 0) == 0 || sn.name.rfind("replay", 0) == 0 ||
-          sn.name == "functional_block" || sn.name == "account_block") {
+          sn.name.rfind("walk", 0) == 0) {
         return true;
       }
     }

@@ -24,8 +24,7 @@
 //   R5  Parallel-capture safety: inside a lambda handed to the parallel
 //       substrate (parallel_for[_dynamic|_each_dynamic|_dynamic_any],
 //       parallel_tasks, parallel_append, pool_dispatch — plus anything
-//       those lambdas reach through same-TU calls, which covers the
-//       Engine helpers on the Phase A accounting path), a write to a
+//       those lambdas reach through same-TU calls), a write to a
 //       class member, a by-reference capture, or a global is flagged
 //       unless it goes through a sanctioned channel: per-worker
 //       SweepScratch, RowClaims, std::atomic, a held
@@ -35,8 +34,8 @@
 //       class, caught before TSan needs a lucky interleaving.
 //   R6  Hot-path allocation: `new`, make_unique/make_shared, growth of
 //       a std::vector, and sized std::vector construction inside R5's
-//       parallel regions or inside Engine sweep*/replay*/
-//       functional_block/account_block methods must use the arena
+//       parallel regions or inside Engine sweep*/replay*/walk*
+//       methods must use the arena
 //       (ArenaBuffer/ArenaVector) instead — the PR 7 peak-memory
 //       discipline.
 //   R7  Serve protocol hygiene (src/serve/ only): JsonWriter keys must
