@@ -12,11 +12,17 @@
 // nodes = 64 warp blocks) and base+4 (default 15 ⇒ 32768 nodes = 1024
 // warp blocks). The engine walks each sweep serially, so the raw-sweep
 // cells measure the single walk; the algorithm cells add the drivers'
-// pool parallelism (BC's per-source forks).
+// pool parallelism (BC's per-source forks). engine_sweep_scattered is
+// engine_sweep over a shuffled item order, the layout the divergence
+// transform's regrouped warps give the host: lanes of a warp lie far
+// apart in the Csr, and the walk reads their edges from the warp-order
+// copy (sim::ItemEdges) as the runners do.
 //
-// Every cell also reports ns_per_warp_step: its T=1 wall time over the
-// warp steps its stats charge (uniform auxiliary kernels included) —
-// the per-step cost of the lockstep walk.
+// Every cell also reports ns_per_warp_step and ns_per_active_lane: its
+// T=1 wall time over the warp steps, and over the active lanes, its
+// stats charge (uniform auxiliary kernels included). The walk costs
+// O(active lanes), and a reordering moves warp steps but not active
+// lanes, so ns_per_active_lane is the figure to compare across orders.
 //
 // Each (config, thread count) cell is timed over several interleaved
 // rounds: the reported wall is the per-count minimum (robust to noise
@@ -112,13 +118,25 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   std::vector<Cell> cells;
 
   // Raw lockstep sweeps with a Jacobi min-plus functor (reads the
-  // previous sweep's snapshot, merges min into `next`): the walk itself.
-  cells.push_back({"engine_sweep", [&] {
+  // previous sweep's snapshot, merges min into `next`): the walk itself,
+  // in slot order and in a shuffled order read through its edge copy.
+  const auto slot_items = graffix::sim::items_all_vertices(graph);
+  std::vector<graffix::sim::WorkItem> scattered_items = slot_items;
+  graffix::Pcg32 shuffle_rng(options.seed);
+  for (std::size_t i = scattered_items.size(); i > 1; --i) {
+    std::swap(scattered_items[i - 1],
+              scattered_items[shuffle_rng.next_bounded(
+                  static_cast<std::uint32_t>(i))]);
+  }
+  const graffix::sim::ItemEdges scattered_edges = graffix::sim::copy_item_edges(
+      graph, scattered_items, graph.has_weights());
+  auto minplus_cell = [&](const std::vector<graffix::sim::WorkItem>& items,
+                          const graffix::sim::ItemEdges* item_edges) {
     CellRun r;
     graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
-    const auto items = graffix::sim::items_all_vertices(graph);
     graffix::sim::SweepOptions opts;
     opts.weighted = graph.has_weights();
+    opts.item_edges = item_edges;
     std::vector<double> dist(graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[source] = 0.0;
@@ -141,6 +159,10 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
     r.wall = now_seconds() - t0;
     r.attr = std::move(dist);
     return r;
+  };
+  cells.push_back({"engine_sweep", [&] { return minplus_cell(slot_items, nullptr); }});
+  cells.push_back({"engine_sweep_scattered", [&] {
+    return minplus_cell(scattered_items, &scattered_edges);
   }});
 
   // SSSP relax exactly as run_sssp runs it: the stall-detection sums,
@@ -286,7 +308,8 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   std::printf("bench_micro_engine: scale=%u seed=%llu (rmat)\n", scale,
               static_cast<unsigned long long>(options.seed));
   graffix::metrics::Table table({"Config", "T=1 (s)", "T=2 (s)", "T=8 (s)",
-                                 "Speedup 8v1", "ns/step T=1", "Identical"});
+                                 "Speedup 8v1", "ns/step T=1", "ns/lane T=1",
+                                 "Identical"});
 
   if (json != nullptr) {
     std::fprintf(json, "%s{\"scale\":%u,\"configs\":[", first_scale ? "" : ",",
@@ -328,23 +351,27 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
     }
     scale_identical = scale_identical && identical;
     const double speedup = wall.back() > 0.0 ? wall.front() / wall.back() : 0.0;
-    const double ns_per_step =
-        ref.stats.warp_steps > 0
-            ? wall[0] * 1e9 / static_cast<double>(ref.stats.warp_steps)
-            : 0.0;
+    const auto ns_per = [&](std::uint64_t count) {
+      return count > 0 ? wall[0] * 1e9 / static_cast<double>(count) : 0.0;
+    };
+    const double ns_per_step = ns_per(ref.stats.warp_steps);
+    const double ns_per_lane = ns_per(ref.stats.active_lanes);
     table.add_row({cells[c].name, graffix::metrics::Table::num(wall[0], 4),
                    graffix::metrics::Table::num(wall[1], 4),
                    graffix::metrics::Table::num(wall[2], 4),
                    graffix::metrics::Table::speedup(speedup),
                    graffix::metrics::Table::num(ns_per_step, 1),
+                   graffix::metrics::Table::num(ns_per_lane, 2),
                    identical ? "yes" : "NO"});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s{\"name\":\"%s\",\"wall_s\":{\"1\":%.9g,\"2\":%.9g,"
                    "\"8\":%.9g},\"speedup_8v1\":%.9g,"
-                   "\"ns_per_warp_step\":%.9g,\"identical\":%s}",
+                   "\"ns_per_warp_step\":%.9g,\"ns_per_active_lane\":%.9g,"
+                   "\"identical\":%s}",
                    c > 0 ? "," : "", cells[c].name.c_str(), wall[0], wall[1],
-                   wall[2], speedup, ns_per_step, identical ? "true" : "false");
+                   wall[2], speedup, ns_per_step, ns_per_lane,
+                   identical ? "true" : "false");
     }
   }
   if (json != nullptr) {
@@ -436,9 +463,10 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     // "procs" records the machine width this document was measured on:
     // a speedup_8v1 only means something where 8 workers can run.
-    // schema 5: adds ns_per_warp_step to every config row.
+    // schema 6: adds ns_per_active_lane to every config row and the
+    // engine_sweep_scattered config.
     std::fprintf(json,
-                 "{\"bench\":\"bench_micro_engine\",\"schema\":5,"
+                 "{\"bench\":\"bench_micro_engine\",\"schema\":6,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
                  static_cast<unsigned long long>(options.seed), procs);
   }

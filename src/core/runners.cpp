@@ -5,9 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
-#include <type_traits>
 #include <unordered_set>
 
 #include "algorithms/bc.hpp"
@@ -124,13 +124,25 @@ void order_active(std::vector<NodeId>& active, const std::vector<NodeId>& pos,
 /// the warp order, global sweeps, cluster inner sweeps, confluence, and
 /// the final stats -> seconds conversion.
 ///
-/// The warp layout and the cluster/boundary graph split are immutable
-/// once built, so they live in a read-only Layout that forked drivers
-/// share: run_bc runs one fork per Brandes source (possibly
-/// concurrently) without rebuilding the split, then folds the forks'
-/// counters back in source order.
+/// The warp layout, the cluster/boundary graph split and the warp-order
+/// work lists are immutable once built, so they live in a read-only
+/// Layout that forked drivers share: run_bc runs one fork per Brandes
+/// source (possibly concurrently) without rebuilding any of them, then
+/// folds the forks' counters back in source order.
 class Driver {
  public:
+  /// The work of a sweep over every slot in warp order: the boundary
+  /// work list, the warp-order copy of its edges that the walk reads
+  /// (empty when the list is CSR-contiguous, as in identity order), and
+  /// the cluster half's list. A cached work list is only valid for the
+  /// (graph, order, strategy) triple it was built from; all three are
+  /// fixed for a Layout's lifetime.
+  struct WarpWork {
+    std::vector<WorkItem> items;
+    sim::ItemEdges edges;
+    std::vector<WorkItem> cluster_items;
+  };
+
   /// Immutable per-run layout shared between a driver and its forks.
   struct Layout {
     std::vector<NodeId> order;
@@ -139,6 +151,11 @@ class Driver {
     Csr cluster_graph;
     Csr boundary_graph;
     std::vector<std::vector<WorkItem>> cluster_items;
+    // Built once, on the first full sweep of any driver sharing the
+    // layout (forks may race for it, hence the once_flag), and read-only
+    // after: frontier-only drivers never pay for it.
+    mutable std::once_flag warp_work_once;
+    mutable WarpWork warp_work;
   };
 
   /// uses_weights: whether the algorithm actually streams the weights
@@ -191,8 +208,9 @@ class Driver {
     sweep_impl(active, sim::Ungated{}, std::forward<Fn>(fn));
   }
 
-  /// Global sweep over every slot in warp order. Its accounting is the
-  /// same every time, so it is recorded once and reused (see sweep_impl).
+  /// Global sweep over every slot in warp order. Ungated, so its live
+  /// masks never change: its accounting is recorded once and reused, and
+  /// later sweeps skip the gate prepass (see sweep_impl).
   template <typename Fn>
   void sweep_all(Fn&& fn) {
     sweep_impl(layout_->order, sim::Ungated{}, std::forward<Fn>(fn));
@@ -259,27 +277,34 @@ class Driver {
   /// edges are processed with attributes — and, after the first launch,
   /// the staged subgraph itself — resident in shared memory.
   ///
-  /// The boundary sweep of an ungated sweep over the invariant
-  /// warp-order list reuses its accounting (Engine::sweep_reusing): only
-  /// commits and conflicts depend on the functor, so later sweeps run
-  /// replay-only. Gated and frontier sweeps always walk in full.
+  /// Both halves of a sweep over the invariant warp-order list, gated
+  /// or not, go through Engine::sweep_reusing with their own
+  /// SweepAccounting: whenever the live masks repeat, only commits and
+  /// conflicts are charged afresh and the walk runs replay-only. The
+  /// boundary half reads the layout's warp-order edge copy. Frontier
+  /// sweeps build their work per sweep, read the Csr and walk in full.
   template <typename Gate, typename Fn>
   void sweep_impl(std::span<const NodeId> slots_in_order, Gate&& gate,
                   Fn&& fn) {
-    constexpr bool kUngated =
-        std::is_same_v<std::remove_cvref_t<Gate>, sim::Ungated>;
-    const std::span<const WorkItem> work = work_for(slots_in_order);
+    const WarpWork* whole =
+        invariant_order(slots_in_order) ? &warp_work() : nullptr;
+    const std::span<const WorkItem> work =
+        whole != nullptr ? whole->items : frontier_work(slots_in_order);
     track_primary(work.size());
     // Each lane's gate check is one coalesced state load.
     engine_->charge_uniform_kernel(work.size(), 1.0, stats_);
     stats_.sweeps -= 1;  // the gate load is part of this launch
-    if (kUngated && invariant_order(slots_in_order)) {
-      engine_->sweep_reusing(work, opts_, fn, work_accounting_, stats_);
+    if (whole != nullptr) {
+      SweepOptions opts = opts_;
+      if (!whole->edges.empty()) opts.item_edges = &whole->edges;
+      engine_->sweep_reusing(work, opts, gate, fn, work_accounting_, stats_);
     } else {
       engine_->sweep_gated(work, opts_, gate, fn, stats_);
     }
     if (has_clusters()) {
-      const std::span<const WorkItem> cwork = cluster_work_for(slots_in_order);
+      const std::span<const WorkItem> cwork =
+          whole != nullptr ? whole->cluster_items
+                           : cluster_frontier_work(slots_in_order);
       if (!cwork.empty()) {
         // Shared memory does not survive kernel launches: every sweep
         // re-streams the cluster edges from global memory (that IS the
@@ -287,48 +312,49 @@ class Driver {
         // cluster_phase_round) get resident edges. Not its own launch:
         // it is part of the boundary sweep's.
         primary_items_ += cwork.size();
-        cluster_engine_->sweep_gated(cwork, cluster_opts(false), gate, fn,
-                                     stats_);
+        if (whole != nullptr) {
+          cluster_engine_->sweep_reusing(cwork, cluster_opts(false), gate, fn,
+                                         cluster_accounting_, stats_);
+        } else {
+          cluster_engine_->sweep_gated(cwork, cluster_opts(false), gate, fn,
+                                       stats_);
+        }
       }
       charge_staging(slots_in_order.size());
     }
     charge_aux(slots_in_order.size());
   }
 
-  /// True when `slots` is this driver's invariant warp-order list and
-  /// the strategy's decomposition is a pure function of (graph, slots) —
-  /// the conditions under which a work layout built once stays valid for
-  /// the driver's whole lifetime. (Graph, order, and strategy are all
-  /// fixed at construction, so cached layouts never need invalidating;
-  /// swapping any of them means building a new Driver.)
+  /// True when `slots` is the layout's warp-order list and the
+  /// strategy's decomposition is a pure function of (graph, slots) — the
+  /// conditions under which the layout's WarpWork serves the sweep.
   [[nodiscard]] bool invariant_order(std::span<const NodeId> slots) const {
     return strategy_->work_is_slot_invariant() &&
            slots.data() == layout_->order.data() &&
            slots.size() == layout_->order.size();
   }
 
-  /// Work list for one boundary sweep: cached across iterations for the
-  /// invariant warp-order list, rebuilt per sweep for frontiers.
-  [[nodiscard]] std::span<const WorkItem> work_for(
-      std::span<const NodeId> slots) {
-    if (invariant_order(slots)) {
-      if (!cached_work_built_) {
-        strategy_->make_work(exec_graph(), slots, cached_work_);
-        cached_work_built_ = true;
+  /// The layout's WarpWork, built by the first driver that asks. The
+  /// edge copy stores weights only for drivers that stream them; forks
+  /// share their root's `uses_weights`, so the copy fits every driver of
+  /// the layout.
+  [[nodiscard]] const WarpWork& warp_work() {
+    std::call_once(layout_->warp_work_once, [&] {
+      WarpWork& whole = layout_->warp_work;
+      strategy_->make_work(exec_graph(), layout_->order, whole.items);
+      whole.edges =
+          sim::copy_item_edges(exec_graph(), whole.items, opts_.weighted);
+      if (has_clusters()) {
+        cluster_items_for(layout_->order, whole.cluster_items);
       }
-      return cached_work_;
-    }
-    strategy_->make_work(exec_graph(), slots, work_);
-    return work_;
+    });
+    return layout_->warp_work;
   }
 
   /// Per-vertex items over the intra-cluster subgraph for the resident
-  /// members of `slots`, cached like work_for.
-  [[nodiscard]] std::span<const WorkItem> cluster_work_for(
-      std::span<const NodeId> slots) {
-    const bool invariant = invariant_order(slots);
-    if (invariant && cached_cluster_work_built_) return cached_cluster_work_;
-    std::vector<WorkItem>& out = invariant ? cached_cluster_work_ : cluster_work_;
+  /// members of `slots`.
+  void cluster_items_for(std::span<const NodeId> slots,
+                         std::vector<WorkItem>& out) const {
     out.clear();
     const Csr& cgraph = layout_->cluster_graph;
     const auto& resident = config_.clusters->resident;
@@ -337,8 +363,18 @@ class Driver {
       const NodeId d = cgraph.degree(s);
       if (d > 0) out.push_back({s, cgraph.edge_begin(s), d});
     }
-    if (invariant) cached_cluster_work_built_ = true;
-    return out;
+  }
+
+  /// Work lists for one frontier sweep, rebuilt per sweep.
+  [[nodiscard]] std::span<const WorkItem> frontier_work(
+      std::span<const NodeId> slots) {
+    strategy_->make_work(exec_graph(), slots, work_);
+    return work_;
+  }
+  [[nodiscard]] std::span<const WorkItem> cluster_frontier_work(
+      std::span<const NodeId> slots) {
+    cluster_items_for(slots, cluster_work_);
+    return cluster_work_;
   }
 
   /// Options for a shared-memory cluster sweep (the boundary sweep's
@@ -577,22 +613,17 @@ class Driver {
   std::unique_ptr<Strategy> strategy_;
   std::shared_ptr<const Layout> layout_;
   std::vector<WorkItem> work_;  // frontier sweeps: rebuilt per sweep
-  // Invariant warp-order layouts, built lazily once per driver and
-  // reused every iteration (see work_for / invariant_order).
-  std::vector<WorkItem> cached_work_;
-  bool cached_work_built_ = false;
-  // Accounting of the ungated sweeps over cached_work_, recorded by the
-  // first such sweep.
+  // Accounting of the sweeps over the layout's WarpWork, one per half,
+  // keyed on their live masks (Engine::sweep_reusing).
   sim::SweepAccounting work_accounting_;
+  sim::SweepAccounting cluster_accounting_;
   SweepOptions opts_;
   KernelStats stats_;
   std::uint64_t primary_items_ = 0;
   std::uint64_t primary_launches_ = 0;
 
   std::optional<Engine> cluster_engine_;
-  std::vector<WorkItem> cluster_work_;
-  std::vector<WorkItem> cached_cluster_work_;
-  bool cached_cluster_work_built_ = false;
+  std::vector<WorkItem> cluster_work_;  // frontier sweeps: rebuilt per sweep
 
   ActiveOrderScratch order_scratch_;
 };

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -64,6 +65,40 @@ std::vector<WorkItem> items_all_vertices(const Csr& graph) {
     items.push_back({s, graph.edge_begin(s), graph.degree(s)});
   }
   return items;
+}
+
+ItemEdges copy_item_edges(const Csr& graph, std::span<const WorkItem> items,
+                          bool weighted) {
+  ItemEdges copy;
+  EdgeId total = 0;
+  bool contiguous = true;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0 && items[i].edge_begin !=
+                     items[i - 1].edge_begin + items[i - 1].edge_count) {
+      contiguous = false;
+    }
+    total += items[i].edge_count;
+  }
+  if (contiguous) return copy;
+  const auto targets = graph.targets();
+  const auto weights = graph.weights();
+  const bool with_weights = weighted && !weights.empty();
+  copy.begin = MappedArray<EdgeId>(items.size());
+  copy.dst = MappedArray<NodeId>(total);
+  if (with_weights) copy.weight = MappedArray<Weight>(total);
+  EdgeId at = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const WorkItem& item = items[i];
+    copy.begin[i] = at;
+    std::copy_n(targets.data() + item.edge_begin, item.edge_count,
+                copy.dst.data() + at);
+    if (with_weights) {
+      std::copy_n(weights.data() + item.edge_begin, item.edge_count,
+                  copy.weight.data() + at);
+    }
+    at += item.edge_count;
+  }
+  return copy;
 }
 
 }  // namespace graffix::sim

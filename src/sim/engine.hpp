@@ -33,14 +33,31 @@
 // be powers of two: segment and bank indices are shifts and masks, and
 // the constructor checks this.
 //
-// Accounting reuse: every counter except atomic_commits and
-// atomic_conflicts depends only on (graph, items, options) when the gate
-// is constant-true, so sweep_reusing() walks such a sweep in full once,
-// records those counters in a caller-owned SweepAccounting, and on later
-// sweeps over the SAME item list adds the record and runs the walk in
-// replay-only mode (fn plus commit/conflict charging). The caller
-// guarantees the options match the recorded ones; the engine checks the
-// item list's identity.
+// Accounting reuse: every counter a block's walk charges, except
+// atomic_commits and atomic_conflicts, depends only on (graph, items,
+// options) and on the block's live-lane mask, which the gate prepass
+// records. So sweep_reusing() keeps, in a caller-owned SweepAccounting,
+// each warp block's counters from its last full walk, keyed on the mask
+// it was walked with: a live block whose mask matches its record adds
+// the stored counters and is walked replay-only (fn plus commit/conflict
+// charging); a block with any other mask is walked in full and
+// re-recorded. The key is the mask, not the gate type, so gated sweeps
+// reuse wherever their live lanes repeat — a frontier that has stopped
+// changing in a block, a gate that is constant — and no gate has to
+// promise anything. An Ungated sweep over a list recorded ungated skips
+// the prepass too: its masks cannot change. A full walk also records
+// the span of steps where two live lanes share a destination; the
+// replay keeps its destination set only there, since elsewhere no
+// commit can conflict. The caller keeps the options of one
+// SweepAccounting fixed; the engine checks the item list's identity.
+//
+// Warp-order edge copy: SweepOptions::item_edges may point the walk at
+// an ItemEdges copy of the items' (dst, weight) pairs laid out in item
+// order, so a walk over a scattered order (the divergence transform's
+// regrouped warps, §2.5) reads each block's edges from one contiguous
+// run instead of from lanes far apart in the Csr. The copy changes where
+// the host reads, not what the model charges: edge-segment accounting
+// still takes the items' Csr offsets.
 //
 // Contract for gates: a gate may not depend on commits made by this
 // sweep's functor — the prepass evaluates every gate before the walk
@@ -60,6 +77,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -71,11 +89,26 @@
 
 namespace graffix::sim {
 
-/// The constant-true gate: every lane with edges is live. Sweeps with
-/// this gate over an invariant item list are the ones whose accounting
-/// can be reused (see sweep_reusing).
+/// The constant-true gate: every lane with edges is live. An Ungated
+/// sweep's live masks are fixed by its item list, so sweep_reusing()
+/// skips its gate prepass once the masks are recorded.
 struct Ungated {
   constexpr bool operator()(NodeId /*src*/) const { return true; }
+};
+
+/// A warp-order copy of the edges an item list covers (see the file
+/// comment): item i's (dst, weight) pairs sit contiguously at
+/// [begin[i], begin[i] + edge_count). Built by copy_item_edges(). Page
+/// mapped: a copy lives as long as its run and is several MiB, so it
+/// goes back to the OS with the run instead of staying in the heap.
+struct ItemEdges {
+  MappedArray<EdgeId> begin;
+  MappedArray<NodeId> dst;
+  /// Empty when the copy was built unweighted: the walk then reads
+  /// weights from the Csr.
+  MappedArray<Weight> weight;
+
+  [[nodiscard]] bool empty() const { return begin.empty(); }
 };
 
 /// Per-sweep options.
@@ -94,6 +127,9 @@ struct SweepOptions {
   /// Whether this sweep is its own kernel launch. Cluster inner
   /// iterations run inside one launch and set this to false.
   bool charge_launch = true;
+  /// Warp-order copy of exactly this sweep's items' edges, or null to
+  /// read them from the Csr. Host locality only: no counter changes.
+  const ItemEdges* item_edges = nullptr;
 };
 
 /// Epoch-stamped open-addressed key set for one warp step. Bumping the
@@ -144,7 +180,9 @@ struct SweepScratch {
   // the next Engine instead of round-tripping through the kernel
   // allocator (DESIGN.md §9).
   ArenaVector<std::uint64_t> lane_edge_seg;
-  ArenaVector<NodeId> lane_res;  // per-lane source residency cluster
+  ArenaVector<NodeId> lane_res;         // per-lane source residency cluster
+  ArenaVector<const NodeId*> lane_dst;  // per-lane first destination read
+  ArenaVector<const Weight*> lane_w;    // per-lane first weight read
   ArenaVector<NodeId> bank_word;
   ArenaVector<std::uint64_t> bank_epoch;
   StepKeySet segs;  // the step's distinct attribute segments
@@ -155,6 +193,8 @@ struct SweepScratch {
     if (lane_edge_seg.size() != warp_size) {
       lane_edge_seg.assign(warp_size, ~std::uint64_t{0});
       lane_res.assign(warp_size, kInvalidNode);
+      lane_dst.assign(warp_size, nullptr);
+      lane_w.assign(warp_size, nullptr);
     }
     bool rewound = false;
     if (bank_word.size() != banks) {
@@ -178,14 +218,41 @@ struct SweepScratch {
   }
 };
 
-/// The accounting counters of one ungated sweep, recorded by the first
-/// sweep_reusing() call and added by later ones. Owned by the caller
-/// that owns the invariant item list.
+/// Per-block metadata recorded by the gate prepass.
+struct BlockMeta {
+  std::uint64_t live;  // lane l is live (gated in, edge_count > 0) iff bit l
+  NodeId max_len;      // longest live item (warp step count)
+
+  bool operator==(const BlockMeta&) const = default;
+};
+
+/// Steps [begin, end) of a block's walk hold every step at which two
+/// live lanes target the same destination. Outside them no commit can
+/// conflict, so a replay-only walk needs no destination set there.
+struct DupSteps {
+  NodeId begin = 0;
+  NodeId end = 0;
+};
+
+/// What one full walk of a warp block charged: every counter but sweeps,
+/// aux_ops, atomic_commits and atomic_conflicts, and its DupSteps.
+struct BlockRecord {
+  KernelStats counters;
+  DupSteps dups;
+};
+
+/// Per warp block of one item list, the record of the block's last full
+/// walk and the live mask it was walked with: kept and reused by
+/// sweep_reusing(). Owned by the caller that owns the item list, one per
+/// (engine, list, options).
 struct SweepAccounting {
-  KernelStats counters;  // every counter but atomic_commits/_conflicts
-  const WorkItem* items = nullptr;  // the item list it was recorded for
+  ArenaVector<BlockMeta> blocks;  // each block's mask at its last full walk
+  ArenaVector<BlockRecord> records;  // what that walk charged
+  const WorkItem* items = nullptr;   // the item list; null until recorded
   std::size_t n_items = 0;
-  bool recorded = false;
+  bool ungated = false;  // `blocks` hold the list's ungated masks
+  std::uint64_t walked_blocks = 0;  // live blocks walked in full so far
+  std::uint64_t reused_blocks = 0;  // live blocks replayed so far
 };
 
 class Engine {
@@ -206,7 +273,7 @@ class Engine {
   template <typename EdgeFn>
   void sweep(std::span<const WorkItem> items, const SweepOptions& opts,
              EdgeFn&& fn, KernelStats& stats) {
-    sweep_gated(items, opts, Ungated{}, std::forward<EdgeFn>(fn), stats);
+    sweep_blocks(items, opts, Ungated{}, fn, nullptr, stats);
   }
 
   /// sweep() with per-source gating: lanes whose gate(src) is false idle
@@ -219,51 +286,27 @@ class Engine {
   template <typename Gate, typename EdgeFn>
   void sweep_gated(std::span<const WorkItem> items, const SweepOptions& opts,
                    Gate&& gate, EdgeFn&& fn, KernelStats& stats) {
-    if (opts.charge_launch) stats.sweeps += 1;
-    sweep_blocks</*kAccount=*/true>(items, opts, gate, fn, stats);
+    sweep_blocks(items, opts, gate, fn, nullptr, stats);
   }
 
-  /// sweep() over an invariant item list with accounting reuse: the
-  /// first call walks in full and records every counter but the atomic
-  /// ones in `acc`; later calls (same `items` span, same options) add
-  /// the record and run the walk replay-only. Stats and functional state
-  /// are identical to calling sweep() every time.
+  /// sweep_gated() with accounting reuse over a list swept many times:
+  /// each live block whose mask `acc` recorded adds the recorded counters
+  /// and is walked replay-only; every other live block is walked in full
+  /// and recorded into `acc`. Every call with one `acc` must pass the
+  /// same `items` span and options. Stats and functional state are
+  /// identical to calling sweep_gated() every time.
+  template <typename Gate, typename EdgeFn>
+  void sweep_reusing(std::span<const WorkItem> items, const SweepOptions& opts,
+                     Gate&& gate, EdgeFn&& fn, SweepAccounting& acc,
+                     KernelStats& stats) {
+    sweep_blocks(items, opts, gate, fn, &acc, stats);
+  }
+
+  /// Ungated sweep_reusing().
   template <typename EdgeFn>
   void sweep_reusing(std::span<const WorkItem> items, const SweepOptions& opts,
                      EdgeFn&& fn, SweepAccounting& acc, KernelStats& stats) {
-    if (!acc.recorded) {
-      KernelStats walked;
-      sweep(items, opts, fn, walked);
-      stats += walked;
-      walked.atomic_commits = 0;
-      walked.atomic_conflicts = 0;
-      acc = {walked, items.data(), items.size(), true};
-      return;
-    }
-    GRAFFIX_CHECK(acc.items == items.data() && acc.n_items == items.size(),
-                  "Engine::sweep_reusing: accounting recorded for another "
-                  "item list");
-    stats += acc.counters;
-    sweep_blocks</*kAccount=*/false>(items, opts, Ungated{}, fn, stats);
-  }
-
-  /// True while a sweep is executing on this engine — the state behind
-  /// the reentrancy guard. Callers that cannot afford the abort probe
-  /// this before dispatching.
-  [[nodiscard]] bool in_sweep() const { return in_sweep_; }
-
-  /// sweep_gated() that refuses instead of aborting when the engine is
-  /// already mid-sweep: returns false and leaves `stats` and all caller
-  /// state untouched. A long-lived caller can report the refusal —
-  /// GRAFFIX_CHECK would take the whole process down with it.
-  template <typename Gate, typename EdgeFn>
-  [[nodiscard]] bool try_sweep_gated(std::span<const WorkItem> items,
-                                     const SweepOptions& opts, Gate&& gate,
-                                     EdgeFn&& fn, KernelStats& stats) {
-    if (in_sweep_) return false;
-    sweep_gated(items, opts, std::forward<Gate>(gate),
-                std::forward<EdgeFn>(fn), stats);
-    return true;
+    sweep_blocks(items, opts, Ungated{}, fn, &acc, stats);
   }
 
   /// Charges a uniform auxiliary kernel (confluence merges, frontier
@@ -272,17 +315,15 @@ class Engine {
                              KernelStats& stats) const;
 
  private:
-  /// Per-block metadata recorded by the gate prepass.
-  struct BlockMeta {
-    std::uint64_t live;  // lane l is live (gated in, edge_count > 0) iff bit l
-    NodeId max_len;      // longest live item (warp step count)
-  };
-
-  /// The gate prepass, then one walk over every live block. kAccount
-  /// false is the replay-only walk of sweep_reusing.
-  template <bool kAccount, typename Gate, typename EdgeFn>
+  /// The gate prepass (unless `acc` already holds the list's ungated
+  /// masks), then one walk over every live block in ascending block
+  /// order: replay-only where `acc` holds the block's mask, in full
+  /// otherwise (recording into `acc` when there is one).
+  template <typename Gate, typename EdgeFn>
   void sweep_blocks(std::span<const WorkItem> items, const SweepOptions& opts,
-                    Gate&& gate, EdgeFn& fn, KernelStats& stats) {
+                    Gate&& gate, EdgeFn& fn, SweepAccounting* acc,
+                    KernelStats& stats) {
+    if (opts.charge_launch) stats.sweeps += 1;
     if (items.empty()) return;
     // The per-sweep scratch (block_meta_, scratch_) is shared mutable
     // state: a nested sweep on the same engine — a functor or gate
@@ -297,11 +338,77 @@ class Engine {
       bool* flag;
       ~SweepGuard() { *flag = false; }
     } sweep_guard{&in_sweep_};
+    GRAFFIX_CHECK(opts.item_edges == nullptr ||
+                      opts.item_edges->begin.size() == items.size(),
+                  "Engine: edge copy covers %zu items, the sweep has %zu",
+                  opts.item_edges == nullptr ? 0 : opts.item_edges->begin.size(),
+                  items.size());
+    const bool recorded = acc != nullptr && acc->items != nullptr;
+    GRAFFIX_CHECK(!recorded || (acc->items == items.data() &&
+                                acc->n_items == items.size()),
+                  "Engine::sweep_reusing: accounting recorded for another "
+                  "item list");
+    constexpr bool kUngated =
+        std::is_same_v<std::remove_cvref_t<Gate>, Ungated>;
+    std::span<const BlockMeta> meta;
+    if (kUngated && recorded && acc->ungated) {
+      meta = acc->blocks;
+    } else {
+      prepass(items, gate);
+      meta = block_meta_;
+    }
+    scratch_.ensure(config_.warp_size, config_.shared_banks);
+    if (acc != nullptr && !recorded) {
+      acc->blocks.assign(meta.size(), BlockMeta{0, 0});
+      acc->records.assign(meta.size(), BlockRecord{});
+      acc->items = items.data();
+      acc->n_items = items.size();
+    }
+    // A block's record stays valid for its mask until the block is walked
+    // with another one, however many sweeps pass in between.
+    bool rerecorded = false;
+    for (std::size_t b = 0; b < meta.size(); ++b) {
+      if (meta[b].live == 0) continue;
+      if (acc == nullptr) {
+        DupSteps dups;
+        walk_block<true>(items, opts, b, meta[b], fn, stats, dups);
+        continue;
+      }
+      BlockRecord& rec = acc->records[b];
+      if (meta[b] == acc->blocks[b]) {
+        stats += rec.counters;
+        walk_block<false>(items, opts, b, meta[b], fn, stats, rec.dups);
+        acc->reused_blocks += 1;
+        continue;
+      }
+      KernelStats walked;
+      walk_block<true>(items, opts, b, meta[b], fn, walked, rec.dups);
+      stats += walked;
+      walked.atomic_commits = 0;
+      walked.atomic_conflicts = 0;
+      rec.counters = walked;
+      acc->blocks[b] = meta[b];
+      acc->walked_blocks += 1;
+      rerecorded = true;
+    }
+    // After an Ungated sweep every block holds its ungated mask (blocks it
+    // did not walk have no edges, so no sweep ever recorded them).
+    if (acc != nullptr && kUngated) {
+      acc->ungated = true;
+    } else if (rerecorded) {
+      acc->ungated = false;
+    }
+  }
+
+  /// Records each warp block's live lanes (gated in, edge_count > 0) and
+  /// longest live item in block_meta_. Every gate fires here, before any
+  /// fn() runs. The warp runs until its longest live item is exhausted
+  /// (thread divergence: shorter, edgeless and gated-out lanes idle).
+  template <typename Gate>
+  void prepass(std::span<const WorkItem> items, Gate& gate) {
     const std::uint32_t ws = config_.warp_size;
     const std::size_t n_blocks = (items.size() + ws - 1) / ws;
     block_meta_.resize(n_blocks);
-    // The warp runs until its longest live item is exhausted (thread
-    // divergence: shorter, edgeless and gated-out lanes idle).
     for (std::size_t b = 0; b < n_blocks; ++b) {
       const std::size_t base = b * ws;
       const auto lanes = static_cast<std::uint32_t>(
@@ -316,47 +423,61 @@ class Engine {
       }
       block_meta_[b] = {live, max_len};
     }
-    scratch_.ensure(ws, config_.shared_banks);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      if (block_meta_[b].live == 0) continue;
-      walk_block<kAccount>(items, opts, b, block_meta_[b], fn, stats);
-    }
   }
 
   /// One live warp block, one pass: per step, each live lane is charged
   /// (kAccount) and then replayed through fn. A committing lane
   /// conflicts (its atomic serializes) iff an earlier active lane of the
   /// same step targets the same destination, whether or not that lane
-  /// committed.
+  /// committed. A full walk records its DupSteps in `dups`; a
+  /// replay-only walk reads them and keeps the destination set only
+  /// there.
   template <bool kAccount, typename EdgeFn>
   void walk_block(std::span<const WorkItem> items, const SweepOptions& opts,
                   std::size_t b, const BlockMeta& meta, EdgeFn& fn,
-                  KernelStats& st) {
+                  KernelStats& st, DupSteps& dups) {
     SweepScratch& sc = scratch_;
     const std::uint32_t ws = config_.warp_size;
-    const auto targets = graph_->targets();
-    const auto weights = graph_->weights();
-    const bool has_weights = !weights.empty();
+    const ItemEdges* copy = opts.item_edges;
+    const NodeId* csr_targets = graph_->targets().data();
+    const auto csr_weights = graph_->weights();
+    const bool copy_weights = copy != nullptr && !copy->weight.empty();
+    const bool has_weights = copy_weights || !csr_weights.empty();
     const bool csr_mode = opts.edge_mode == EdgeLoadMode::Csr;
     const bool shared_attr = opts.attr_space == AttrSpace::Shared;
     const bool have_resident = !opts.resident.empty();
     const std::size_t base = b * ws;
     std::uint64_t live = meta.live;
-    if constexpr (kAccount) {
-      // Source-side residency is invariant across an item's edges: fetch
-      // it once per live lane instead of once per edge.
-      for (std::uint64_t m = live; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
+    // Each live lane reads its edges from its item's run in the copy when
+    // there is one, else from the Csr. Source-side residency is invariant
+    // across an item's edges: fetch it once per live lane, not per edge.
+    for (std::uint64_t m = live; m != 0; m &= m - 1) {
+      const int l = std::countr_zero(m);
+      const WorkItem& item = items[base + l];
+      sc.lane_dst[l] = copy != nullptr
+                           ? copy->dst.data() + copy->begin[base + l]
+                           : csr_targets + item.edge_begin;
+      if (copy_weights) {
+        sc.lane_w[l] = copy->weight.data() + copy->begin[base + l];
+      } else if (has_weights) {
+        sc.lane_w[l] = csr_weights.data() + item.edge_begin;
+      }
+      if constexpr (kAccount) {
         sc.lane_res[l] =
-            have_resident ? opts.resident[items[base + l].src] : kInvalidNode;
+            have_resident ? opts.resident[item.src] : kInvalidNode;
         sc.lane_edge_seg[l] = ~std::uint64_t{0};
       }
+    }
+    if constexpr (kAccount) {
       // Every step issues one warp instruction and occupies ws lane slots.
       st.warp_steps += meta.max_len;
       st.lane_slots += static_cast<std::uint64_t>(meta.max_len) * ws;
     }
+    if constexpr (kAccount) dups = {};
     for (NodeId j = 0; j < meta.max_len; ++j) {
       sc.epoch += 1;  // empties the bank words and both key sets in O(1)
+      const bool track_dsts = kAccount || (j >= dups.begin && j < dups.end);
+      [[maybe_unused]] bool step_dup = false;
       [[maybe_unused]] const auto active =
           static_cast<std::uint32_t>(std::popcount(live));
       [[maybe_unused]] std::uint32_t edge_segs = 0;
@@ -366,14 +487,15 @@ class Engine {
       for (std::uint64_t m = live; m != 0; m &= m - 1) {
         const int l = std::countr_zero(m);
         const WorkItem& item = items[base + l];
-        const EdgeId e = item.edge_begin + j;
-        const NodeId v = targets[e];
+        const NodeId v = sc.lane_dst[l][j];
         if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
         if constexpr (kAccount) {
           if (csr_mode) {
             // A lane streams its adjacency sequentially: consecutive
             // positions share a segment and hit in cache, so a lane only
-            // pays when it crosses into a new segment.
+            // pays when it crosses into a new segment. Charged at the
+            // item's Csr offset, wherever the host read the edge from.
+            const EdgeId e = item.edge_begin + j;
             const std::uint64_t seg = (e << edge_shift_) >> seg_shift_;
             if (seg != sc.lane_edge_seg[l]) {
               sc.lane_edge_seg[l] = seg;
@@ -398,8 +520,9 @@ class Engine {
             attr_segs += sc.segs.insert(seg, sc.epoch) ? 1 : 0;
           }
         }
-        const bool first_at_v = sc.dsts.insert(v, sc.epoch);
-        const Weight w = has_weights ? weights[e] : Weight{1};
+        const bool first_at_v = !track_dsts || sc.dsts.insert(v, sc.epoch);
+        if constexpr (kAccount) step_dup = step_dup || !first_at_v;
+        const Weight w = has_weights ? sc.lane_w[l][j] : Weight{1};
         if (fn(item.src, v, w)) {
           ++commits;
           if (!first_at_v) st.atomic_conflicts += 1;
@@ -407,6 +530,10 @@ class Engine {
       }
       st.atomic_commits += commits;
       if constexpr (kAccount) {
+        if (step_dup) {
+          if (dups.end == 0) dups.begin = j;
+          dups.end = j + 1;
+        }
         // Every step has at least one live lane (max_len is the longest).
         if (opts.edge_mode == EdgeLoadMode::IdealWarpPacked) edge_segs = 1;
         if (opts.weighted) edge_segs *= 2;  // parallel weights stream
@@ -445,5 +572,13 @@ class Engine {
 
 /// Builds items for all non-hole slots in slot order.
 [[nodiscard]] std::vector<WorkItem> items_all_vertices(const Csr& graph);
+
+/// Copies the edges `items` cover into item order (weights too when
+/// `weighted` and the graph has them). Returns an empty copy when the
+/// list is already CSR-contiguous — each item starts where the previous
+/// one ends, as in identity order — since the copy would repeat the Csr.
+[[nodiscard]] ItemEdges copy_item_edges(const Csr& graph,
+                                        std::span<const WorkItem> items,
+                                        bool weighted);
 
 }  // namespace graffix::sim

@@ -7,6 +7,7 @@
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
 #include <sys/resource.h>
 #endif
 #if defined(__linux__)
@@ -157,6 +158,26 @@ std::size_t arena_pooled_bytes() {
   return ScratchArena::global().pooled_bytes();
 }
 void arena_reset_peak() { ScratchArena::global().reset_peak(); }
+
+void* map_pages(std::size_t bytes) {
+#if defined(__unix__) || defined(__APPLE__)
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+#else
+  return ::operator new(bytes);
+#endif
+}
+
+void unmap_pages(void* p, std::size_t bytes) noexcept {
+#if defined(__unix__) || defined(__APPLE__)
+  munmap(p, bytes);
+#else
+  (void)bytes;
+  ::operator delete(p);
+#endif
+}
 
 std::size_t peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)

@@ -145,6 +145,55 @@ class ArenaBuffer {
   std::size_t size_ = 0;
 };
 
+/// Anonymous page mapping of `bytes` bytes, and its release. For large
+/// buffers that live for one run and die with it: unmapping hands the
+/// pages straight back to the OS, where a freed malloc chunk of the same
+/// size would stay resident in the heap and raise the process's
+/// high-water mark for every later run. Falls back to operator new where
+/// there is no mmap.
+[[nodiscard]] void* map_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+
+/// Fixed-size array of trivial T in its own page mapping (map_pages).
+/// Like ArenaBuffer, nothing is constructed: fill it before reading.
+template <typename T>
+class MappedArray {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "MappedArray is raw mapped storage");
+
+ public:
+  MappedArray() = default;
+  explicit MappedArray(std::size_t n)
+      : data_(n == 0 ? nullptr : static_cast<T*>(map_pages(n * sizeof(T)))),
+        size_(n) {}
+  ~MappedArray() {
+    if (data_ != nullptr) unmap_pages(data_, size_ * sizeof(T));
+  }
+  MappedArray(MappedArray&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  MappedArray& operator=(MappedArray&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+  MappedArray(const MappedArray&) = delete;
+  MappedArray& operator=(const MappedArray&) = delete;
+
+  [[nodiscard]] T* data() { return data_; }
+  [[nodiscard]] const T* data() const { return data_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
+  [[nodiscard]] std::span<const T> span() const { return {data_, size_}; }
+
+ private:
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// std allocator adapter over the global pool: vector growth doubles, the
 /// pool's power-of-two size classes cache exactly those blocks, so a
 /// vector that is destroyed and rebuilt every call (rebuild scratch,

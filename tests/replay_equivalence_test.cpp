@@ -13,15 +13,19 @@
 // The matrix covers transaction_bytes 32 and 128, Csr and
 // IdealWarpPacked edge loads, global, shared and resident-cluster
 // attributes, weighted and edges_resident sweeps, warp sizes 32 and 64,
-// a partial tail warp and a fully gated-out block. The shapes are the
+// a partial tail warp and a fully gated-out block, over the Csr-ordered
+// item list and over a shuffled (T3-like scattered) one whose walk reads
+// the warp-order edge copy (sim::ItemEdges) while the reference reads
+// the Csr. The shapes are the
 // functors the algorithms use: min-merge (SSSP relax, BFS levels),
 // sum-merge (PageRank push and pull), ordered absorb (BC backward), a
 // Gauss-Seidel relaxation that reads its own same-sweep writes (where
 // cross-block replay order is observable), and the runner's SSSP relax
 // and BC forward with their scalar aggregates and append order.
 //
-// Accounting reuse is pinned against full walks, and the engine's
-// reentrancy guard by death tests.
+// Accounting reuse is pinned against full walks, gated and ungated, as
+// the live masks repeat and change; the engine's reentrancy guard by
+// death tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +34,10 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runners.hpp"
@@ -214,10 +220,20 @@ void expect_same_run(const SweepRun& oracle, const SweepRun& got,
 /// both warp sizes, and a gate window [dead_lo, dead_hi) covering one
 /// full 64-lane block (two full 32-lane blocks) that stays dead for the
 /// whole run. `resident` assigns most slots to 96-slot clusters.
+/// `shuffled` is the same kind of list in a scattered order: every item
+/// outside the dead window moves to a random position, so lanes of a
+/// warp lie far apart in the Csr as under the divergence transform's
+/// order, and the dead window still fills one block. Its edge copies
+/// hold weights (`shuffled_edges`) or leave them to the Csr
+/// (`shuffled_dsts`).
 struct ShapeInputs {
   Csr graph;
   std::vector<sim::WorkItem> all_items;
   std::span<const sim::WorkItem> items;
+  std::vector<sim::WorkItem> all_shuffled;
+  std::span<const sim::WorkItem> shuffled;
+  sim::ItemEdges shuffled_edges;
+  sim::ItemEdges shuffled_dsts;
   std::vector<NodeId> resident;
   NodeId source = 0;
   NodeId dead_lo = 0;
@@ -247,6 +263,23 @@ ShapeInputs make_inputs() {
   for (NodeId s = 0; s < in.graph.num_slots(); ++s) {
     if (s % 4 != 3) in.resident[s] = s / 96;
   }
+  in.all_shuffled = in.all_items;
+  std::vector<std::size_t> moved;
+  for (std::size_t i = 0; i < in.all_items.size(); ++i) {
+    if (i < in.dead_lo || i >= in.dead_hi) moved.push_back(i);
+  }
+  std::vector<std::size_t> to = moved;
+  std::mt19937 rng(7);
+  std::shuffle(to.begin(), to.end(), rng);
+  for (std::size_t k = 0; k < moved.size(); ++k) {
+    in.all_shuffled[to[k]] = in.all_items[moved[k]];
+  }
+  in.shuffled = std::span<const sim::WorkItem>(in.all_shuffled.data(),
+                                               in.all_shuffled.size() - 3);
+  in.shuffled_edges = sim::copy_item_edges(in.graph, in.shuffled, true);
+  in.shuffled_dsts = sim::copy_item_edges(in.graph, in.shuffled, false);
+  EXPECT_FALSE(in.shuffled_edges.weight.empty());
+  EXPECT_TRUE(in.shuffled_dsts.weight.empty());
   return in;
 }
 
@@ -266,6 +299,7 @@ struct WalkConfig {
   Attr attr = Attr::Global;
   bool weighted = false;
   bool edges_resident = false;
+  bool shuffled = false;  // walk in.shuffled through its edge copy
 
   [[nodiscard]] sim::SimConfig sim() const {
     sim::SimConfig c;
@@ -282,7 +316,15 @@ struct WalkConfig {
     if (attr == Attr::Resident) o.resident = in.resident;
     o.weighted = weighted;
     o.edges_resident = edges_resident;
+    if (shuffled) {
+      o.item_edges = weighted ? &in.shuffled_edges : &in.shuffled_dsts;
+    }
     return o;
+  }
+
+  [[nodiscard]] std::span<const sim::WorkItem> items(
+      const ShapeInputs& in) const {
+    return shuffled ? in.shuffled : in.items;
   }
 
   [[nodiscard]] std::string describe() const {
@@ -291,12 +333,14 @@ struct WalkConfig {
            " tx=" + std::to_string(transaction_bytes) +
            (edge_mode == sim::EdgeLoadMode::Csr ? " csr" : " ideal") + " " +
            kAttr[static_cast<int>(attr)] + (weighted ? " weighted" : "") +
-           (edges_resident ? " edges-resident" : "");
+           (edges_resident ? " edges-resident" : "") +
+           (shuffled ? " shuffled" : "");
   }
 };
 
 /// Every combination: 2 warp sizes x 2 segment sizes x 2 edge modes x
-/// 3 attribute spaces x {plain, weighted, edges_resident}.
+/// 3 attribute spaces x {plain, weighted, edges_resident} x {Csr order,
+/// shuffled order}.
 std::vector<WalkConfig> full_matrix() {
   std::vector<WalkConfig> out;
   for (const std::uint32_t ws : {32u, 64u}) {
@@ -305,7 +349,10 @@ std::vector<WalkConfig> full_matrix() {
            {sim::EdgeLoadMode::Csr, sim::EdgeLoadMode::IdealWarpPacked}) {
         for (const Attr attr : {Attr::Global, Attr::Shared, Attr::Resident}) {
           for (int flags = 0; flags < 3; ++flags) {
-            out.push_back({ws, tx, mode, attr, flags == 1, flags == 2});
+            for (const bool shuffled : {false, true}) {
+              out.push_back(
+                  {ws, tx, mode, attr, flags == 1, flags == 2, shuffled});
+            }
           }
         }
       }
@@ -314,28 +361,35 @@ std::vector<WalkConfig> full_matrix() {
   return out;
 }
 
-/// The default device and one that flips every knob.
+/// The default device and one that flips every knob, in both orders.
 std::vector<WalkConfig> corner_matrix() {
-  return {WalkConfig{},
-          WalkConfig{64, 128, sim::EdgeLoadMode::IdealWarpPacked,
-                     Attr::Resident, true, false}};
+  std::vector<WalkConfig> out;
+  for (const bool shuffled : {false, true}) {
+    out.push_back({32, 32, sim::EdgeLoadMode::Csr, Attr::Global, false, false,
+                   shuffled});
+    out.push_back({64, 128, sim::EdgeLoadMode::IdealWarpPacked,
+                   Attr::Resident, true, false, shuffled});
+  }
+  return out;
 }
 
 /// Runs `shape` through the engine and the reference walker under every
-/// config and compares the runs. `shape(walker, opts)` drives a fresh
-/// walker through its whole sweep sequence.
+/// config and compares the runs. `shape(walker, items, opts)` drives a
+/// fresh walker through its whole sweep sequence. The reference ignores
+/// opts.item_edges and reads the Csr.
 template <typename Shape>
 void expect_matches_reference(const ShapeInputs& in, const Shape& shape,
                               const char* name,
                               const std::vector<WalkConfig>& configs) {
   for (const WalkConfig& cfg : configs) {
     const sim::SweepOptions opts = cfg.options(in);
+    const std::span<const sim::WorkItem> items = cfg.items(in);
     ReferenceWalker ref(in.graph, cfg.sim());
-    const SweepRun oracle = shape(ref, opts);
+    const SweepRun oracle = shape(ref, items, opts);
     EXPECT_GT(oracle.stats.atomic_commits, 0u)
         << name << cfg.describe() << ": vacuous shape proves nothing";
     sim::Engine engine(in.graph, cfg.sim());
-    expect_same_run(oracle, shape(engine, opts),
+    expect_same_run(oracle, shape(engine, items, opts),
                     std::string(name) + cfg.describe());
   }
 }
@@ -345,7 +399,8 @@ void expect_matches_reference(const ShapeInputs& in, const Shape& shape,
 /// SSSP-style Jacobi min-plus: relaxes next[] from a stable dist[]
 /// snapshot.
 auto minplus_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     std::vector<double> dist(in.graph.num_slots(),
                              std::numeric_limits<double>::infinity());
@@ -353,7 +408,7 @@ auto minplus_shape(const ShapeInputs& in) {
     std::vector<double> next(dist);
     for (int s = 0; s < 3; ++s) {
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
             const double nd = dist[u] + static_cast<double>(w);
@@ -373,7 +428,8 @@ auto minplus_shape(const ShapeInputs& in) {
 
 /// BFS-style Jacobi level merge: integer min into next_level[].
 auto bfs_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     constexpr std::uint32_t kUnset = 0xffffffffu;
     SweepRun r;
     std::vector<std::uint32_t> level(in.graph.num_slots(), kUnset);
@@ -381,7 +437,7 @@ auto bfs_shape(const ShapeInputs& in) {
     std::vector<std::uint32_t> next(level);
     for (int s = 0; s < 3; ++s) {
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && level[u] != kUnset; },
           [&](NodeId u, NodeId v, Weight) {
             const std::uint32_t nl = level[u] + 1;
@@ -402,14 +458,15 @@ auto bfs_shape(const ShapeInputs& in) {
 /// PageRank push: FP sum merged into next[v] — the per-target
 /// accumulation ORDER is observable in the bits.
 auto pr_push_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
     for (int s = 0; s < 2; ++s) {
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && in.graph.degree(u) > 0; },
           [&](NodeId u, NodeId v, Weight) {
             next[v] += 0.85 * rank[u] / static_cast<double>(in.graph.degree(u));
@@ -427,14 +484,15 @@ auto pr_push_shape(const ShapeInputs& in) {
 /// PageRank pull: FP sum merged into the SOURCE side (next[u] gathers
 /// from stable rank[v]).
 auto pr_pull_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
     for (int s = 0; s < 2; ++s) {
       walker.sweep_gated(
-          in.items, opts, [&](NodeId u) { return live_src(in, u); },
+          items, opts, [&](NodeId u) { return live_src(in, u); },
           [&](NodeId u, NodeId v, Weight) {
             const NodeId deg = std::max<NodeId>(in.graph.degree(v), 1);
             next[u] += 0.85 * rank[v] / static_cast<double>(deg);
@@ -452,7 +510,8 @@ auto pr_pull_shape(const ShapeInputs& in) {
 /// BC-backward-style ordered absorb: delta[u] accumulates sigma-weighted
 /// contributions read from sweep-stable arrays (sigma, prev).
 auto bc_absorb_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> sigma(n), prev(n);
@@ -463,7 +522,7 @@ auto bc_absorb_shape(const ShapeInputs& in) {
     }
     std::vector<double> delta(n, 0.0);
     walker.sweep_gated(
-        in.items, opts, [&](NodeId u) { return live_src(in, u); },
+        items, opts, [&](NodeId u) { return live_src(in, u); },
         [&](NodeId u, NodeId v, Weight) {
           delta[u] += (sigma[u] / sigma[v]) * (1.0 + prev[v]);
           return true;
@@ -477,14 +536,15 @@ auto bc_absorb_shape(const ShapeInputs& in) {
 /// Gauss-Seidel relaxation: reads the SAME array it merges into, so
 /// cross-block replay order is observable.
 auto gauss_seidel_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     std::vector<double> dist(in.graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
     for (int s = 0; s < 3; ++s) {
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
             const double nd = dist[u] + static_cast<double>(w);
@@ -547,7 +607,8 @@ TEST(ReplayEquivalence, OrderSensitiveFunctorMatchesSerialReplay) {
 /// (nd == next[v]); those ties must be REJECTED identically, and sum 2
 /// counts them so the tie case is proven to occur.
 auto sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
-  return [&in, weighted](auto& walker, const sim::SweepOptions& opts) {
+  return [&in, weighted](auto& walker, std::span<const sim::WorkItem> items,
+                         const sim::SweepOptions& opts) {
     const double eps = weighted ? 1e-9 : 0.0;
     SweepRun r;
     const std::size_t n = in.graph.num_slots();
@@ -562,7 +623,7 @@ auto sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
       double sum[3] = {0.0, 0.0, 0.0};
       bool discovered = false;
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
           [&](NodeId u, NodeId v, Weight w) {
             const double step = weighted ? static_cast<double>(w) : 1.0;
@@ -607,7 +668,8 @@ auto sssp_relax_aggregate_shape(const ShapeInputs& in, bool weighted) {
 /// full-frontier sweep gates every slot in at once (dead window
 /// included).
 auto bc_forward_aggregate_shape(const ShapeInputs& in) {
-  return [&in](auto& walker, const sim::SweepOptions& opts) {
+  return [&in](auto& walker, std::span<const sim::WorkItem> items,
+               const sim::SweepOptions& opts) {
     SweepRun r;
     const std::size_t n = in.graph.num_slots();
     std::vector<NodeId> level(n, kInvalidNode);
@@ -631,7 +693,7 @@ auto bc_forward_aggregate_shape(const ShapeInputs& in) {
     while (depth < static_cast<NodeId>(n)) {
       frontier.clear();
       walker.sweep_gated(
-          in.items, opts,
+          items, opts,
           [&](NodeId u) { return live_src(in, u) && level[u] == depth; },
           forward, r.stats);
       r.attr.push_back(static_cast<double>(frontier.size()));
@@ -640,7 +702,7 @@ auto bc_forward_aggregate_shape(const ShapeInputs& in) {
       ++depth;
     }
     frontier.clear();
-    walker.sweep_gated(in.items, opts, sim::Ungated{}, forward, r.stats);
+    walker.sweep_gated(items, opts, sim::Ungated{}, forward, r.stats);
     r.attr.push_back(static_cast<double>(frontier.size()));
     for (NodeId v : frontier) r.attr.push_back(static_cast<double>(v));
     r.attr.insert(r.attr.end(), sigma.begin(), sigma.end());
@@ -662,7 +724,8 @@ TEST(SweepAggregateEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
   // The tie case must actually occur: each rejected exactly-at-threshold
   // candidate bumps sum 2 (attr slot 3 of some sweep).
   ReferenceWalker probe_walker(in.graph, sim::SimConfig{});
-  const SweepRun probe = shape(probe_walker, sim::SweepOptions{});
+  const SweepRun probe =
+      shape(probe_walker, in.items, sim::SweepOptions{});
   double ties = 0.0;
   std::size_t at = 0;
   for (int s = 0; s < 3; ++s) {
@@ -681,27 +744,48 @@ TEST(SweepAggregateEquivalence, BcForwardFrontierMatchesSerialReplay) {
 
 // --- accounting reuse -------------------------------------------------
 
-/// N ungated sweeps of `fn_for(sweep)` over the full item list, either
-/// through sweep_reusing (one recorded accounting) or full walks.
-template <typename Step>
-SweepRun ungated_sweeps(const ShapeInputs& in, const WalkConfig& cfg,
-                        bool reuse, int n, Step&& step) {
+/// One sweep per entry of `gates` over `items` under `cfg`, through one
+/// sweep_reusing accounting or as full walks, with `gate(g, u)` as sweep
+/// g's gate (g == -1 is sim::Ungated). After each sweep, `blocks` gets
+/// the accounting's {walked_blocks, reused_blocks}.
+template <typename Gate, typename Step>
+SweepRun gate_sequence(const ShapeInputs& in, const WalkConfig& cfg,
+                       std::span<const sim::WorkItem> items, bool reuse,
+                       const std::vector<int>& gates, Gate&& gate, Step&& step,
+                       std::vector<std::pair<std::uint64_t, std::uint64_t>>*
+                           blocks = nullptr) {
   SweepRun r;
   sim::Engine engine(in.graph, cfg.sim());
   const sim::SweepOptions opts = cfg.options(in);
   sim::SweepAccounting acc;
   std::vector<double> attr(in.graph.num_slots());
   for (NodeId s = 0; s < in.graph.num_slots(); ++s) attr[s] = s;
-  for (int i = 0; i < n; ++i) {
+  for (const int g : gates) {
     auto fn = step(attr);
-    if (reuse) {
-      engine.sweep_reusing(in.all_items, opts, fn, acc, r.stats);
+    const auto gate_g = [&gate, g](NodeId u) { return gate(g, u); };
+    if (g < 0 && reuse) {
+      engine.sweep_reusing(items, opts, fn, acc, r.stats);
+    } else if (g < 0) {
+      engine.sweep(items, opts, fn, r.stats);
+    } else if (reuse) {
+      engine.sweep_reusing(items, opts, gate_g, fn, acc, r.stats);
     } else {
-      engine.sweep(in.all_items, opts, fn, r.stats);
+      engine.sweep_gated(items, opts, gate_g, fn, r.stats);
+    }
+    if (blocks != nullptr) {
+      blocks->push_back({acc.walked_blocks, acc.reused_blocks});
     }
   }
   r.attr = std::move(attr);
   return r;
+}
+
+/// N ungated sweeps over the config's item list.
+template <typename Step>
+SweepRun ungated_sweeps(const ShapeInputs& in, const WalkConfig& cfg,
+                        bool reuse, int n, Step&& step) {
+  return gate_sequence(in, cfg, cfg.items(in), reuse, std::vector<int>(n, -1),
+                       [](int, NodeId) { return true; }, step);
 }
 
 /// PageRank push-sum: every lane commits, next[] sums in lane order.
@@ -753,6 +837,120 @@ TEST(AccountingReuse, MinLabelMatchesFullWalks) {
   const SweepRun two = ungated_sweeps(in, cfg, false, 2, min_label_step());
   EXPECT_NE(two.stats.atomic_commits, 2 * one.stats.atomic_commits);
   expect_reuse_matches_full_walks(in, min_label_step(), "min-label");
+}
+
+using BlockCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+TEST(AccountingReuse, GatedConstantMaskMatchesFullWalks) {
+  // A gate that keeps the same lanes live every sweep — here the dead
+  // window, which a gate-type key would never cover — walks its live
+  // blocks once and replays them from the second sweep on, matching
+  // full walks bit for bit.
+  const ShapeInputs in = make_inputs();
+  const auto gate = [&in](int, NodeId u) { return live_src(in, u); };
+  std::uint64_t live_blocks = 0;
+  for (std::size_t base = 0; base < in.all_items.size(); base += 32) {
+    bool live = false;
+    const std::size_t end = std::min(base + 32, in.all_items.size());
+    for (std::size_t i = base; i < end; ++i) {
+      live = live || (live_src(in, in.all_items[i].src) &&
+                      in.all_items[i].edge_count > 0);
+    }
+    live_blocks += live ? 1 : 0;
+  }
+  const std::vector<int> gates(4, 0);
+  for (const bool push : {true, false}) {
+    const auto run = [&](bool reuse, BlockCounts* blocks) {
+      const WalkConfig cfg;
+      return push ? gate_sequence(in, cfg, in.all_items, reuse, gates, gate,
+                                  push_sum_step(in), blocks)
+                  : gate_sequence(in, cfg, in.all_items, reuse, gates, gate,
+                                  min_label_step(), blocks);
+    };
+    BlockCounts blocks;
+    const SweepRun full = run(false, nullptr);
+    const SweepRun reused = run(true, &blocks);
+    EXPECT_GT(full.stats.atomic_commits, 0u);
+    expect_same_run(full, reused, push ? "gated push-sum" : "gated min-label");
+    const BlockCounts want = {{live_blocks, 0},
+                              {live_blocks, live_blocks},
+                              {live_blocks, 2 * live_blocks},
+                              {live_blocks, 3 * live_blocks}};
+    EXPECT_EQ(blocks, want);
+  }
+}
+
+TEST(AccountingReuse, MaskChangeRewalks) {
+  // Over a list where every lane has edges, gate 0 keeps the even lanes
+  // and gate 1 the odd ones, so every block's mask differs between them.
+  // Masks A, B, A: all three walk every block in full (a block's record
+  // holds its latest mask only). B, B: the first walks and re-records,
+  // the second replays. Ungated then walks (its masks differ from B's),
+  // and the next Ungated sweep replays without a prepass. Gate 2 — every
+  // lane outside block 0 — replays all blocks but that dead one from the
+  // ungated record, and a gated A after it must walk, not take the
+  // ungated masks. A re-recorded every block, so the last Ungated sweep
+  // must run its prepass again and walk.
+  const ShapeInputs in = make_inputs();
+  std::vector<sim::WorkItem> busy;
+  for (const sim::WorkItem& item : in.all_items) {
+    if (item.edge_count > 0) busy.push_back(item);
+  }
+  busy.resize(busy.size() - (busy.size() % 32 == 1 ? 2 : 0));  // tail >= 2
+  std::vector<std::uint8_t> odd(in.graph.num_slots(), 0);
+  std::vector<std::uint8_t> block0(in.graph.num_slots(), 0);
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    odd[busy[i].src] = i % 2;
+    block0[busy[i].src] = i < 32;
+  }
+  const auto gate = [&](int g, NodeId u) {
+    return g == 2 ? block0[u] == 0 : odd[u] == g;
+  };
+  const std::uint64_t n = (busy.size() + 31) / 32;
+  const std::vector<int> gates = {0, 1, 0, 1, 1, -1, -1, 2, 0, -1};
+  BlockCounts blocks;
+  const WalkConfig cfg;
+  const SweepRun full =
+      gate_sequence(in, cfg, busy, false, gates, gate, push_sum_step(in));
+  const SweepRun reused =
+      gate_sequence(in, cfg, busy, true, gates, gate, push_sum_step(in), &blocks);
+  expect_same_run(full, reused, "mask changes");
+  const BlockCounts want = {{n, 0},         {2 * n, 0},         {3 * n, 0},
+                            {4 * n, 0},     {4 * n, n},         {5 * n, n},
+                            {5 * n, 2 * n}, {5 * n, 3 * n - 1}, {6 * n, 3 * n - 1},
+                            {7 * n, 3 * n - 1}};
+  EXPECT_EQ(blocks, want);
+}
+
+TEST(ItemEdgeCopy, CsrContiguousListBuildsNoCopy) {
+  // Identity order — one item per slot, or Tigr-style split items — is
+  // already laid out in the Csr: copying it would only cost memory.
+  const ShapeInputs in = make_inputs();
+  EXPECT_TRUE(sim::copy_item_edges(in.graph, in.all_items, true).empty());
+  EXPECT_TRUE(sim::copy_item_edges(in.graph, in.items, true).empty());
+  std::vector<sim::WorkItem> split;
+  for (const sim::WorkItem& item : in.all_items) {
+    for (NodeId off = 0; off < item.edge_count; off += 8) {
+      split.push_back({item.src, item.edge_begin + off,
+                       std::min<NodeId>(8, item.edge_count - off)});
+    }
+  }
+  EXPECT_TRUE(sim::copy_item_edges(in.graph, split, false).empty());
+  // A scattered list is copied: item i's edges sit at begin[i], in Csr
+  // order, with weights when asked for.
+  const sim::ItemEdges& copy = in.shuffled_edges;
+  ASSERT_EQ(copy.begin.size(), in.shuffled.size());
+  const auto targets = in.graph.targets();
+  const auto weights = in.graph.weights();
+  for (std::size_t i = 0; i < in.shuffled.size(); ++i) {
+    const sim::WorkItem& item = in.shuffled[i];
+    for (NodeId j = 0; j < item.edge_count; ++j) {
+      ASSERT_EQ(copy.dst[copy.begin[i] + j], targets[item.edge_begin + j]);
+      ASSERT_EQ(copy.weight[copy.begin[i] + j], weights[item.edge_begin + j]);
+    }
+  }
+  EXPECT_TRUE(
+      std::ranges::equal(in.shuffled_dsts.dst.span(), copy.dst.span()));
 }
 
 TEST(AccountingReuseDeathTest, OtherItemListDies) {

@@ -359,53 +359,6 @@ TEST(Engine, DistinctBanksConflictFree) {
   EXPECT_EQ(stats.bank_conflicts, 0u);
 }
 
-// The reentrancy guard is queryable: a nested sweep attempt through
-// try_sweep_gated is refused, never the GRAFFIX_CHECK abort the raw
-// sweep_gated entry would raise.
-TEST(Engine, NestedTrySweepIsRefusedNotFatal) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  const Csr g = b.build();
-  const std::vector<WorkItem> items = items_all_vertices(g);
-  Engine engine(g, test_config());
-  EXPECT_FALSE(engine.in_sweep());
-
-  bool checked = false;
-  SweepOptions opts;
-  KernelStats stats;
-  engine.sweep_gated(
-      items, opts, [](NodeId) { return true; },
-      [&](NodeId, NodeId, Weight) {
-        if (!checked) {
-          checked = true;
-          EXPECT_TRUE(engine.in_sweep());
-          KernelStats nested;
-          EXPECT_FALSE(engine.try_sweep_gated(
-              items, opts, [](NodeId) { return true; },
-              [](NodeId, NodeId, Weight) { return false; }, nested));
-          EXPECT_EQ(nested.warp_steps, 0U);
-        }
-        return false;
-      },
-      stats);
-  EXPECT_TRUE(checked);
-  EXPECT_FALSE(engine.in_sweep());
-
-  // Outside a sweep the same call runs.
-  std::size_t edges_seen = 0;
-  KernelStats after;
-  EXPECT_TRUE(engine.try_sweep_gated(
-      items, opts, [](NodeId) { return true; },
-      [&](NodeId, NodeId, Weight) {
-        ++edges_seen;
-        return false;
-      },
-      after));
-  EXPECT_EQ(edges_seen, 3U);
-}
-
 /// Hand-built 64-lane sweep for the live-lane walk: lanes that end at
 /// different steps, a gated-in zero-degree lane, a long gated-out lane,
 /// lane 63 live with the longest item, and a partial 5-lane tail warp.
