@@ -263,7 +263,6 @@ std::vector<PreprocessReport> run_preprocessing(const ExperimentConfig& config) 
     PreprocessReport report;
     report.graph = entry.name;
     report.seconds = pipeline.preprocessing_seconds();
-    report.phase_seconds = pipeline.greedy_phase_seconds();
     report.extra_space_pct = 100.0 * pipeline.extra_space_fraction();
     report.edges_added = pipeline.edges_added();
     reports.push_back(std::move(report));

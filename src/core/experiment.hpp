@@ -49,10 +49,6 @@ struct ExperimentRow {
 struct PreprocessReport {
   std::string graph;
   double seconds = 0.0;
-  /// Seconds inside the transform's greedy phase (the batched
-  /// scenario-1/2 insertion or replica application) — the Table 5
-  /// per-phase scaling rows. Subset of `seconds`.
-  double phase_seconds = 0.0;
   double extra_space_pct = 0.0;
   std::uint64_t edges_added = 0;
 };

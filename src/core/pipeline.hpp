@@ -63,7 +63,7 @@ class Pipeline {
     return preprocessing_seconds_;
   }
   /// Wall-clock seconds of the applied transform's greedy phase — the
-  /// batched scenario-1/2 insertion (latency) or replica application
+  /// scenario-1/2 insertion (latency) or replica application
   /// (coalescing). Zero for techniques without a greedy phase.
   [[nodiscard]] double greedy_phase_seconds() const;
   /// Extra space of the transformed graph relative to the original.

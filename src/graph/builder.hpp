@@ -40,9 +40,6 @@ class GraphBuilder {
   /// no 2x transient during the final growth step.
   void reserve_edges(std::size_t edges) { edges_.reserve(edges); }
 
-  /// Deprecated spelling of reserve_edges(), kept for callers.
-  void reserve(std::size_t edges) { reserve_edges(edges); }
-
   void add_edge(NodeId src, NodeId dst, Weight w = Weight{1});
 
   /// Bulk-append a pre-generated edge list (from the generators). Adopts

@@ -151,7 +151,7 @@ Csr read_matrix_market(const std::string& path) {
   const auto n = static_cast<NodeId>(std::max(rows, cols));
   GraphBuilder builder(n);
   builder.set_weighted(!pattern);
-  builder.reserve(symmetric ? 2 * nnz : nnz);
+  builder.reserve_edges(symmetric ? 2 * nnz : nnz);
   unsigned long long entries = 0;
   while (entries < nnz && read_line(f.get(), line)) {
     if (line.empty() || line[0] == '%') continue;

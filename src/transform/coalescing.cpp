@@ -20,7 +20,6 @@ CoalescingResult coalescing_transform(const Csr& graph,
   result.holes_total = rep.holes_total;
   result.holes_filled = rep.holes_filled;
   result.greedy_seconds = rep.greedy_seconds;
-  result.batching = rep.batching;
   check_transform_phase("coalescing/replicate", result.graph,
                         &result.replicas);
 

@@ -17,10 +17,8 @@ struct CoalescingResult {
   /// Extra space w.r.t. the original graph (Table 5's space column).
   double extra_space_fraction = 0.0;
 
-  /// Wall-clock seconds of the replication greedy phase plus its
-  /// conflict-free round structure (Table 5 per-phase scaling rows).
+  /// Wall-clock seconds of the replication greedy phase.
   double greedy_seconds = 0.0;
-  BatchTelemetry batching;
 
   /// Projects a per-slot attribute vector back to original node ids.
   template <typename T>

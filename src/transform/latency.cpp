@@ -6,7 +6,6 @@
 
 #include "graph/properties.hpp"
 #include "graph/rebuild.hpp"
-#include "transform/batch.hpp"
 #include "transform/validate.hpp"
 #include "util/parallel.hpp"
 #include "util/macros.hpp"
@@ -187,17 +186,12 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
     und_insert(und, a, b, w);
   };
 
-  // One scenario-1 anchor, exactly as the serial greedy loop executes
-  // it: lift the near-threshold node over the cutoff by linking sibling
-  // pairs that already share a common neighbor (pass 1, the paper's
-  // "preferentially"), falling back to arbitrary non-adjacent sibling
-  // pairs (pass 2) while the CC deficit is unmet. `arcs_at_entry` is
-  // the global arcs-added count a serial run sees on entry; insertions
-  // stop once the running count reaches the budget. Touches only rows
-  // in the anchor's closed neighborhood, which is what makes the
-  // conflict-free batching below serial-exact (transform/batch.hpp).
-  auto scenario1_anchor = [&](NodeId u,
-                              std::uint64_t arcs_at_entry) -> std::uint64_t {
+  // One scenario-1 anchor: lift the near-threshold node over the cutoff
+  // by linking sibling pairs that already share a common neighbor (pass
+  // 1, the paper's "preferentially"), falling back to arbitrary
+  // non-adjacent sibling pairs (pass 2) while the CC deficit is unmet.
+  // Insertions stop once the global arcs-added count reaches the budget.
+  auto scenario1_anchor = [&](NodeId u) -> std::uint64_t {
     const auto d = static_cast<NodeId>(und[u].size());
     const double pairs = static_cast<double>(d) * (d - 1) / 2.0;
     const auto needed = std::min<std::uint64_t>(
@@ -212,7 +206,7 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
     for (int pass = 0; pass < 2 && added_here < needed; ++pass) {
       for (NodeId i = 0; i < d && added_here < needed; ++i) {
         for (NodeId j = i + 1; j < d && added_here < needed; ++j) {
-          if (arcs_at_entry + added_here >= budget) break;
+          if (arcs_added + added_here >= budget) break;
           const NodeId a = siblings[i], b = siblings[j];
           if (und_has_edge(und, a, b)) continue;
           if (pass == 0 && !have_common_neighbor(und, a, b, u)) continue;
@@ -228,7 +222,7 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
   // One scenario-2 anchor: densify the cluster around an already-high-CC
   // node by linking its least-connected sibling pair (one insertion per
   // anchor keeps the approximation small; the budget is the hard stop,
-  // enforced by the caller's top-of-loop check / batch admission).
+  // enforced by the caller's top-of-loop check).
   auto scenario2_anchor = [&](NodeId u) -> std::uint64_t {
     std::vector<NodeId> siblings;
     siblings.reserve(und[u].size());
@@ -257,59 +251,17 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
   };
 
   {
+    // Both scenarios walk their sorted candidate list in order: each
+    // anchor reads the adjacency its predecessors grew, and the budget
+    // check reads their running total.
     WallTimer greedy_timer;
-    if (serial_transforms()) {
-      // Serial reference oracle (GRAFFIX_SERIAL_TRANSFORMS): the
-      // original strictly-ordered greedy loops.
-      for (NodeId u : near_nodes) {
-        if (arcs_added >= budget) break;
-        arcs_added += scenario1_anchor(u, arcs_added);
-      }
-      for (NodeId u : high_nodes) {
-        if (arcs_added >= budget) break;
-        arcs_added += scenario2_anchor(u);
-      }
-    } else {
-      // Conflict-free batched rounds, byte-identical to the oracle: an
-      // anchor's reads and writes stay inside its closed neighborhood,
-      // so that neighborhood is its row footprint.
-      RowClaims claims(n);
-      auto footprint = [&](const std::vector<NodeId>& list, std::uint32_t i,
-                           std::vector<NodeId>& rows) {
-        const NodeId u = list[i];
-        rows.push_back(u);
-        for (const Arc& a : und[u]) rows.push_back(a.dst);
-      };
-      const BatchTelemetry s1 = run_budgeted_rounds(
-          near_nodes.size(), claims, budget, arcs_added,
-          [&](std::uint32_t i, std::vector<NodeId>& rows) {
-            footprint(near_nodes, i, rows);
-          },
-          [&](std::uint32_t) {
-            return std::uint64_t{knobs.max_edges_per_anchor};
-          },
-          [&](std::uint32_t i) {
-            // Admission proved the budget cannot bind for any batch
-            // member, so the shared round-entry counter is exact.
-            return scenario1_anchor(near_nodes[i], arcs_added);
-          },
-          [&](std::uint32_t i, std::uint64_t serial_before) {
-            return scenario1_anchor(near_nodes[i], serial_before);
-          });
-      const BatchTelemetry s2 = run_budgeted_rounds(
-          high_nodes.size(), claims, budget, arcs_added,
-          [&](std::uint32_t i, std::vector<NodeId>& rows) {
-            footprint(high_nodes, i, rows);
-          },
-          [&](std::uint32_t) { return std::uint64_t{1}; },
-          [&](std::uint32_t i) { return scenario2_anchor(high_nodes[i]); },
-          [&](std::uint32_t i, std::uint64_t) {
-            return scenario2_anchor(high_nodes[i]);
-          });
-      result.batching.rounds = s1.rounds + s2.rounds;
-      result.batching.batched = s1.batched + s2.batched;
-      result.batching.serial_steps = s1.serial_steps + s2.serial_steps;
-      result.batching.max_batch = std::max(s1.max_batch, s2.max_batch);
+    for (NodeId u : near_nodes) {
+      if (arcs_added >= budget) break;
+      arcs_added += scenario1_anchor(u);
+    }
+    for (NodeId u : high_nodes) {
+      if (arcs_added >= budget) break;
+      arcs_added += scenario2_anchor(u);
     }
     result.greedy_seconds = greedy_timer.seconds();
   }

@@ -1,7 +1,6 @@
 #include "transform/replicate.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_map>
 
 #include "graph/rebuild.hpp"
@@ -17,17 +16,6 @@ struct Candidate {
   NodeId node;      // primary slot to replicate
   NodeId chunk;     // chunk the node is well connected to
   NodeId edge_count;
-};
-
-/// Outcome of the serial reserve pass for one surviving candidate: the
-/// hole slot it will occupy. Reservation only touches bookkeeping state
-/// (hole pools, replica groups, counters) that the apply phase never
-/// writes, so applies can run in conflict-free batched rounds afterwards
-/// without changing any reserve decision.
-struct Reservation {
-  NodeId node;     // primary being replicated
-  NodeId chunk;    // chunk the primary is well connected to
-  NodeId replica;  // hole slot the replica occupies
 };
 
 }  // namespace
@@ -136,7 +124,7 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
   // the most in-neighbors (BFS parents) of C's members. The full
   // (score desc, chunk asc) preference list per distinct candidate chunk
   // is a pure function of the immutable reverse graph, so it is computed
-  // up front in parallel; the reserve pass walks it to the first chunk
+  // up front in parallel; reserve_hole walks it to the first chunk
   // that still has a free hole — exactly the argmax the old per-candidate
   // scan produced, evaluated against the live hole pools.
   const Csr reverse = renumbered.transpose();
@@ -215,19 +203,17 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
   map.group_of_slot.assign(slots, kInvalidNode);
 
   // --- Replication (lines 29-35) -------------------------------------------
-  // Split into reserve (serial, exact) and apply (batchable). The
-  // reserve step reads and writes only bookkeeping state — hole pools,
-  // free-hole counters, replica groups — which the apply step never
-  // touches, so running every reservation first and the edge rewiring
-  // afterwards is order-equivalent to the original interleaved loop.
-  auto reserve_one = [&](const Candidate& cand) -> std::optional<Reservation> {
+  // Claims a hole for the candidate and records the replica group;
+  // returns the replica slot, or kInvalidNode when the candidate is
+  // dropped.
+  auto reserve_hole = [&](const Candidate& cand) -> NodeId {
     const NodeId lvl = chunk_level[cand.chunk];
-    if (lvl == 0 || level_free_holes[lvl - 1] == 0) return std::nullopt;
+    if (lvl == 0 || level_free_holes[lvl - 1] == 0) return kInvalidNode;
     // Never replicate a replica, and respect the per-node copy cap.
     if (map.group_of_slot[cand.node] != kInvalidNode) {
       const auto& group = map.groups[map.group_of_slot[cand.node]];
-      if (group[0] != cand.node) return std::nullopt;
-      if (group.size() > knobs.max_replicas_per_node) return std::nullopt;
+      if (group[0] != cand.node) return kInvalidNode;
+      if (group.size() > knobs.max_replicas_per_node) return kInvalidNode;
     }
 
     // Pick the hole: parent-chunk hint, else the lowest-id chunk with a
@@ -242,7 +228,7 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
       }
     }
     if (target_chunk == kInvalidNode) target_chunk = first_free_chunk(lvl - 1);
-    if (target_chunk == kInvalidNode) return std::nullopt;
+    if (target_chunk == kInvalidNode) return kInvalidNode;
     const NodeId replica = chunk_holes[target_chunk].back();
     chunk_holes[target_chunk].pop_back();
     --level_free_holes[lvl - 1];
@@ -258,23 +244,17 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
     map.groups[group].push_back(replica);
     map.group_of_slot[replica] = group;
     ++result.holes_filled;
-    return Reservation{cand.node, cand.chunk, replica};
+    return replica;
   };
 
-  // Rewires edges for one reservation; returns (moved, added). Reads
-  // adj rows of the primary and of the chunk's original non-hole slots,
-  // writes the primary's and the replica's rows — the reservation's row
-  // footprint for conflict-free batching (replica slots are original
-  // holes, which no other reservation's 2-hop scan can read: edges only
-  // ever point at original non-holes).
-  auto apply_reservation =
-      [&](const Reservation& res) -> std::pair<std::uint64_t, std::uint64_t> {
-    // Move n's edges into the chunk onto the replica.
-    const NodeId chunk_lo = res.chunk * k;
+  // Moves the primary's edges into the candidate's chunk onto the
+  // replica and adds a few 2-hop edges inside the chunk.
+  auto rewire = [&](const Candidate& cand, NodeId replica) {
+    const NodeId chunk_lo = cand.chunk * k;
     const NodeId chunk_hi = chunk_lo + k;
     auto in_chunk = [&](NodeId v) { return v >= chunk_lo && v < chunk_hi; };
     std::vector<Arc> moved;
-    auto& primary_adj = adj[res.node];
+    auto& primary_adj = adj[cand.node];
     for (auto it = primary_adj.begin(); it != primary_adj.end();) {
       if (in_chunk(it->dst)) {
         moved.push_back(*it);
@@ -292,7 +272,7 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
       for (const Arc& hop2 : adj[hop1.dst]) {
         if (added >= knobs.max_new_edges_per_replica) break;
         const NodeId q = hop2.dst;
-        if (!in_chunk(q) || q == res.node || q == res.replica) continue;
+        if (!in_chunk(q) || q == cand.node || q == replica) continue;
         const bool exists =
             std::any_of(moved.begin(), moved.end(),
                         [q](const Arc& a) { return a.dst == q; }) ||
@@ -304,63 +284,20 @@ ReplicationResult replicate_into_holes(const Csr& renumbered,
       }
     }
 
-    auto& replica_adj = adj[res.replica];
-    const std::uint64_t n_moved = moved.size();
+    result.edges_moved += moved.size();
+    result.edges_added += extra.size();
+    auto& replica_adj = adj[replica];
     replica_adj = std::move(moved);
     replica_adj.insert(replica_adj.end(), extra.begin(), extra.end());
-    return {n_moved, extra.size()};
   };
 
   {
+    // Each candidate's hole choice reads the pools its predecessors
+    // drained, so the sorted list is walked in order.
     WallTimer greedy_timer;
-    if (serial_transforms()) {
-      // Serial reference oracle (GRAFFIX_SERIAL_TRANSFORMS): reserve and
-      // apply interleaved per candidate, as the original loop ran.
-      for (const Candidate& cand : candidates) {
-        if (const auto res = reserve_one(cand)) {
-          const auto [moved, added] = apply_reservation(*res);
-          result.edges_moved += moved;
-          result.edges_added += added;
-        }
-      }
-    } else {
-      // Reserve everything serially (exact), then apply in conflict-free
-      // batched rounds. There is no edge budget here, so the driver runs
-      // with an unbounded budget and zero per-candidate cost.
-      std::vector<Reservation> reservations;
-      for (const Candidate& cand : candidates) {
-        if (const auto res = reserve_one(cand)) reservations.push_back(*res);
-      }
-      std::vector<std::uint64_t> moved_by(reservations.size(), 0);
-      std::vector<std::uint64_t> added_by(reservations.size(), 0);
-      RowClaims claims(slots);
-      std::uint64_t arcs_unused = 0;
-      result.batching = run_budgeted_rounds(
-          reservations.size(), claims, UINT64_MAX, arcs_unused,
-          [&](std::uint32_t i, std::vector<NodeId>& rows) {
-            const Reservation& res = reservations[i];
-            rows.push_back(res.node);
-            rows.push_back(res.replica);
-            const NodeId lo = res.chunk * k, hi = lo + k;
-            for (NodeId s = lo; s < hi; ++s) {
-              if (!renumbered.is_hole(s)) rows.push_back(s);
-            }
-          },
-          [&](std::uint32_t) { return std::uint64_t{0}; },
-          [&](std::uint32_t i) {
-            std::tie(moved_by[i], added_by[i]) =
-                apply_reservation(reservations[i]);
-            return std::uint64_t{0};
-          },
-          [&](std::uint32_t i, std::uint64_t) {
-            std::tie(moved_by[i], added_by[i]) =
-                apply_reservation(reservations[i]);
-            return std::uint64_t{0};
-          });
-      for (std::size_t i = 0; i < reservations.size(); ++i) {
-        result.edges_moved += moved_by[i];
-        result.edges_added += added_by[i];
-      }
+    for (const Candidate& cand : candidates) {
+      const NodeId replica = reserve_hole(cand);
+      if (replica != kInvalidNode) rewire(cand, replica);
     }
     result.greedy_seconds = greedy_timer.seconds();
   }

@@ -152,20 +152,6 @@ void parallel_for_dynamic(Index begin, Index end, Body&& body,
   });
 }
 
-/// Applies body(item) to every element of an index/work list with
-/// dynamic scheduling at the given grain. Thin sugar over
-/// parallel_for_dynamic for the batched greedy phases, whose rounds are
-/// sets of candidate positions with wildly uneven per-candidate work
-/// (grain 1 is the right default there — a batch member can be a hub
-/// anchor doing an O(d^2) sibling scan while its neighbor is a no-op).
-template <typename List, typename Body>
-void parallel_for_each_dynamic(const List& items, Body&& body,
-                               std::int64_t grain = 1) {
-  parallel_for_dynamic(
-      std::size_t{0}, items.size(), [&](std::size_t i) { body(items[i], i); },
-      grain);
-}
-
 /// Deterministic any-reduction with dynamic scheduling: runs body(i) ->
 /// bool over [begin, end) exactly like parallel_for_dynamic and returns
 /// whether ANY body returned true. Every body runs (no short-circuit —

@@ -186,21 +186,19 @@ struct FileLint {
 
 const std::vector<std::string>& substrate_entry_points() {
   static const std::vector<std::string> kEntries = {
-      "parallel_for",        "parallel_for_dynamic",
-      "parallel_for_each_dynamic", "parallel_for_dynamic_any",
-      "parallel_append",     "parallel_tasks",
-      "pool_dispatch",       "parallel_reduce_sum"};
+      "parallel_for",    "parallel_for_dynamic", "parallel_for_dynamic_any",
+      "parallel_append", "parallel_tasks",       "pool_dispatch",
+      "parallel_reduce_sum"};
   return kEntries;
 }
 
 bool sanctioned_channel_type(const std::string& type) {
   return type.find("SweepScratch") != std::string::npos ||
-         type.find("RowClaims") != std::string::npos ||
          type.find("atomic") != std::string::npos;
 }
 
 bool sanctioned_channel_class(const std::string& cls) {
-  return cls == "SweepScratch" || cls == "RowClaims";
+  return cls == "SweepScratch";
 }
 
 bool lock_type(const std::string& type) {
@@ -538,7 +536,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
              " member mutated from a parallel region is shared across "
              "concurrent tasks (the PR 6 lane-table bug class). Move it "
              "into per-worker SweepScratch, route it through "
-             "RowClaims / std::atomic, index it by the "
+             "std::atomic, index it by the "
              "task parameter, or certify with allow(R5)");
   };
 
@@ -594,7 +592,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
                "` — a by-reference capture of state declared outside the "
                "parallel lambda; every worker aliases it. Make it a "
                "per-worker slot indexed by the task parameter, a "
-               "SweepScratch/RowClaims channel, or "
+               "SweepScratch channel, or "
                "std::atomic — or certify with allow(R5)");
       return;
     }

@@ -22,12 +22,12 @@
 //       total order on element values (or the call migrated to
 //       std::stable_sort).
 //   R5  Parallel-capture safety: inside a lambda handed to the parallel
-//       substrate (parallel_for[_dynamic|_each_dynamic|_dynamic_any],
+//       substrate (parallel_for[_dynamic|_dynamic_any],
 //       parallel_tasks, parallel_append, pool_dispatch — plus anything
 //       those lambdas reach through same-TU calls), a write to a
 //       class member, a by-reference capture, or a global is flagged
 //       unless it goes through a sanctioned channel: per-worker
-//       SweepScratch, RowClaims, std::atomic, a held
+//       SweepScratch, std::atomic, a held
 //       lock (scoped_lock/lock_guard/unique_lock in scope), or a slot
 //       subscripted by the task's own lambda parameter (the disjoint-
 //       slot contract). This is the PR 6 lane_dst_/lane_active_ bug
